@@ -9,7 +9,7 @@ Three subcommands driven by a strictly validated JSON config:
 
 Exit codes: 0 success, 1 usage or config error, 2 tolerance failure.
 All floating-point output is printed with 17 significant digits, and node
-orders plus compensated summation are fixed, so identical configs yield
+orders and reduction orders are fixed, so identical configs yield
 byte-identical outputs.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 
 import numpy as np
@@ -71,16 +70,6 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str):
     missing = required - set(doc)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-
-
-def worker_count() -> int:
-    """Worker cap from COORBIT_THREADS (the library itself runs serially)."""
-    raw = os.environ.get("COORBIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"COORBIT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 def build_state(state_cfg: dict) -> DensityMatrix:
@@ -203,7 +192,7 @@ def _check_tolerances(report: dict, tolerances: dict):
 def cmd_tomo_run(doc: dict, out_path: str) -> int:
     name = doc["system"]
     params = doc["params"]
-    report: dict = {"system": name, "workers": worker_count()}
+    report: dict = {"system": name}
     if name in ("dps", "spin", "homodyne"):
         sys_obj = _build_system(doc)
         rho = build_state(doc.get("state", {"kind": "random", "d": sys_obj.dim, "seed": doc.get("seed", 0)}))

@@ -19,8 +19,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .frame_core import IndexGrid, TomographicSystem, singular_admissibility
-from .opalg import DensityMatrix, Operator, matrix_exp, tensor
+from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, expand_family
+from .frame_core import singular_admissibility, slice_major_grid, synthesize
+from .opalg import DensityMatrix, Operator, matrix_exp
 
 PAD = 16  # extra Fock levels for products that suffer truncation edge effects
 
@@ -66,15 +67,9 @@ class PolarGrid:
         return np.arange(self.n_phi) * 2 * math.pi / self.n_phi, 2 * math.pi / self.n_phi
 
     def to_index_grid(self) -> IndexGrid:
-        r, rw, = self.radial
+        r, rw = self.radial
         phi, phw = self.angular
-        nodes = []
-        weights = []
-        for ri, wi in zip(r, rw):
-            for ph in phi:
-                nodes.append((float(ri), float(ph)))
-                weights.append(ri * wi * phw / math.pi)
-        return IndexGrid(tuple(nodes), np.array(weights))
+        return slice_major_grid(r, r * rw * phw / math.pi, phi)
 
 
 @dataclass(frozen=True)
@@ -167,27 +162,19 @@ def quadrature_operator(f: FockSpace, phi: float) -> Operator:
 
 
 def homodyne_system(f: FockSpace, grid: PolarGrid) -> TomographicSystem:
-    """Displacement-family system over the polar grid (P = 1, vacuum = I)."""
+    """Displacement-family system over the polar grid (P = 1, vacuum = I).
+
+    One slice D(r) per radial node with charges n: D(r e^{i phi}) = U D(r) U^dag, U = e^{i phi n}.
+    """
     if f.d < 2:
         raise ValueError("need d >= 2")
-    index_grid = grid.to_index_grid()
-    levels = np.arange(f.d)
-    radial_cache = {}
-
-    def displacement_at(node):
-        r, ph = node
-        base = radial_cache.get(r)
-        if base is None:
-            base = displacement_cv(f, r).entries
-            radial_cache[r] = base
-        phase = np.exp(1j * ph * levels)
-        return Operator((phase[:, None] * base) * phase.conj()[None, :])
-
+    slices = np.array([displacement_cv(f, r).entries for r in grid.radial[0]])
+    family = SliceFamily(slices, np.arange(f.d, dtype=float))
     return TomographicSystem(
-        dim=f.d,
-        grid=index_grid,
-        analysis=displacement_at,
-        synthesis=displacement_at,
+        grid=grid.to_index_grid(),
+        analysis_family=family,
+        synthesis_family=family,
+        phis=grid.angular[0],
         vacuum=Operator(np.eye(f.d)),
         test_functional=Operator(np.eye(f.d)),
         normalization=1.0,
@@ -226,31 +213,22 @@ def displaced_parity(
     """Complex Fourier transform of the displacement family, by quadrature.
 
     U(alpha) = integral (d^2 xi / pi) D(xi) e^{alpha conj(xi) - conj(alpha) xi}
-    on a polar xi grid. Every matrix element is an independent scalar
-    integral, so no padding is involved; the default radial cutoff covers
-    the Laguerre envelope peak |xi|^2 ~ 2d of the highest retained level.
+    on a polar xi grid, resummed by the engine over the homodyne family. Every
+    matrix element is an independent scalar integral, so no padding is
+    involved; the default radial cutoff covers the Laguerre envelope peak
+    |xi|^2 ~ 2d of the highest retained level.
     Compare with :func:`parity_fit_report` for the displaced-parity closed
     form.
     """
-    d = f.d
     if xi_cutoff is None:
         # Laguerre oscillations of level n extend to |xi|^2 ~ 4n; cover the
         # highest retained level plus a decay margin.
-        xi_cutoff = math.sqrt(4 * d + 80) + 2 * abs(alpha)
-    grid = PolarGrid(xi_cutoff, n_r, n_phi)
-    r, rw = grid.radial
-    phis, phw = grid.angular
-    levels = np.arange(d)
-    acc = np.zeros((d, d), dtype=complex)
-    for ri, wi in zip(r, rw):
-        base = displacement_cv(f, ri).entries
-        for ph in phis:
-            phase = np.exp(1j * ph * levels)
-            dmat = (phase[:, None] * base) * phase.conj()[None, :]
-            xi = ri * np.exp(1j * ph)
-            weight = wi * ri * phw / math.pi
-            acc += weight * np.exp(alpha * np.conj(xi) - np.conj(alpha) * xi) * dmat
-    return Operator(acc)
+        xi_cutoff = math.sqrt(4 * f.d + 80) + 2 * abs(alpha)
+    sys = homodyne_system(f, PolarGrid(xi_cutoff, n_r, n_phi))
+    r, ph = np.array(sys.grid.nodes).T
+    xi = r * np.exp(1j * ph)
+    kernel = np.exp(alpha * np.conj(xi) - np.conj(alpha) * xi)
+    return synthesize(sys, SampleVector(kernel, sys.grid.grid_id))
 
 
 @lru_cache(maxsize=None)
@@ -258,9 +236,8 @@ def parity_fit_report(d: int, xi_cutoff: float | None = None, n_r: int = 192, n_
     """Fit the quadrature transform at alpha = 0 against the parity operator.
 
     Returns (constant, residual): the least-squares scalar c minimizing
-    ||U(0) - c P|| and the residual norm. The constant is measured, not
-    assumed; downstream fast paths use it through
-    :func:`displaced_parity_closed`.
+    ||U(0) - c P|| and the residual norm: a measured check of the exact
+    constant 2 that :func:`displaced_parity_closed` uses.
     """
     u0 = displaced_parity(FockSpace(d), 0.0, xi_cutoff, n_r, n_phi).entries
     par = parity_operator(d).entries
@@ -270,11 +247,10 @@ def parity_fit_report(d: int, xi_cutoff: float | None = None, n_r: int = 192, n_
 
 
 def displaced_parity_closed(f: FockSpace, alpha: complex) -> Operator:
-    """Fast displaced parity c * D(2 alpha) P with the fitted constant c."""
-    c, _ = parity_fit_report(f.d)
+    """Closed form U(alpha) = 2 D(2 alpha) P, from integral D(xi) d^2xi / pi = 2 P."""
     dp = f.d + PAD
     big = displacement_cv(FockSpace(dp), 2 * alpha).entries @ parity_operator(dp).entries
-    return Operator(c.real * big[: f.d, : f.d])
+    return Operator(2 * big[: f.d, : f.d])
 
 
 def wigner_point(rho: DensityMatrix, q: float, p: float) -> float:
@@ -283,11 +259,8 @@ def wigner_point(rho: DensityMatrix, q: float, p: float) -> float:
     Normalized so the double integral over (q, p) is Tr rho; vacuum gives
     (1/pi) e^{-(q^2 + p^2)}.
     """
-    alpha = (q + 1j * p) / math.sqrt(2)
-    dp = rho.dim + PAD
-    big = displacement_cv(FockSpace(dp), 2 * alpha).entries @ parity_operator(dp).entries
-    val = np.trace(rho.op.entries @ big[: rho.dim, : rho.dim])
-    return float(val.real / math.pi)
+    u = displaced_parity_closed(FockSpace(rho.dim), (q + 1j * p) / math.sqrt(2))
+    return float(np.trace(rho.op.entries @ u.entries).real / (2 * math.pi))
 
 
 def coherent_state(f: FockSpace, beta: complex) -> np.ndarray:
@@ -312,8 +285,8 @@ def qfunction(rho: DensityMatrix, alpha: complex) -> float:
 def multimode_system(modes, grids) -> TomographicSystem:
     """Tensor-product displacement system over the product polar grid.
 
-    Limited to two modes: the product grid has n1 * n2 nodes and the cost of
-    a generic round trip grows with the square of that.
+    Limited to two modes: the product grid has n1 * n2 nodes, stored as
+    n1 * n_r2 slices of dimension (d1 d2) x (d1 d2).
     """
     if len(modes) != len(grids):
         raise ValueError("need one grid per mode")
@@ -323,24 +296,21 @@ def multimode_system(modes, grids) -> TomographicSystem:
     if len(systems) == 1:
         return systems[0]
     s1, s2 = systems
-    nodes = []
-    weights = []
-    for n1, w1 in zip(s1.grid.nodes, s1.grid.weights):
-        for n2, w2 in zip(s2.grid.nodes, s2.grid.weights):
-            nodes.append(n1 + n2)
-            weights.append(w1 * w2)
-    grid = IndexGrid(tuple(nodes), np.array(weights))
-
-    def product_family(node):
-        return tensor(s1.analysis(node[:2]), s2.analysis(node[2:]))
-
+    nodes = tuple(n1 + n2 for n1 in s1.grid.nodes for n2 in s2.grid.nodes)
+    grid = IndexGrid(nodes, np.outer(s1.grid.weights, s2.grid.weights).ravel())
+    # Node (i, j) is A1_i (x) A2_j: slice A1_i (x) S2_r for every mode-1 node
+    # i and mode-2 slice r, with mode 2's charges on the second factor.
+    a1 = expand_family(s1.analysis_family, s1.phis)[:, None, :, None, :, None]
+    d = s1.dim * s2.dim
+    slices = (a1 * s2.analysis_family.slices[None, :, None, :, None, :]).reshape(-1, d, d)
+    family = SliceFamily(slices, np.tile(s2.analysis_family.charges, s1.dim))
     return TomographicSystem(
-        dim=s1.dim * s2.dim,
         grid=grid,
-        analysis=product_family,
-        synthesis=product_family,
-        vacuum=Operator(np.eye(s1.dim * s2.dim)),
-        test_functional=Operator(np.eye(s1.dim * s2.dim)),
+        analysis_family=family,
+        synthesis_family=family,
+        phis=s2.phis,
+        vacuum=Operator(np.eye(d)),
+        test_functional=Operator(np.eye(d)),
         normalization=1.0,
     )
 

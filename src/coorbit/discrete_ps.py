@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_core import IndexGrid, TomographicSystem
+from .frame_core import IndexGrid, SliceFamily, TomographicSystem, roundtrip
 from .opalg import DensityMatrix, Operator
 
 
@@ -109,15 +109,8 @@ def discrete_wigner(rho: DensityMatrix, N: int) -> np.ndarray:
 
 
 def reconstruct_displacement(rho: DensityMatrix, N: int) -> Operator:
-    """rho = (1/N) sum_{G_N} Tr(rho U^dag(q,p)) U(q,p)."""
-    if rho.dim != N:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, lattice {N}")
-    acc = np.zeros((N, N), dtype=complex)
-    for q in range(N):
-        for p in range(N):
-            u = displacement_discrete(N, q, p).entries
-            acc += np.vdot(u, rho.op.entries) * u
-    return Operator(acc / N)
+    """rho = (1/N) sum_{G_N} Tr(rho U^dag(q,p)) U(q,p), through the engine."""
+    return roundtrip(heisenberg_finite_system(N), rho.op)[0]
 
 
 def reconstruct_point(rho: DensityMatrix, N: int) -> Operator:
@@ -135,23 +128,21 @@ def reconstruct_point(rho: DensityMatrix, N: int) -> Operator:
 def heisenberg_finite_system(N: int) -> TomographicSystem:
     """Displacement-family system over G_N with weights 1/N.
 
-    With analysis = synthesis = U(q, p) and weight 1/N per node, the family
-    {U / sqrt(N)} is an orthonormal operator basis, so the round trip is a
-    Parseval identity (frame bounds A = B = 1 and P = 1).
+    One slice per node (phis = [0.0]). With analysis = synthesis = U(q, p)
+    and weight 1/N per node, the family {U / sqrt(N)} is an orthonormal
+    operator basis, so the round trip is a Parseval identity (frame bounds
+    A = B = 1 and P = 1).
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    lattice = FiniteLattice(N)
-    nodes = tuple((float(q), float(p)) for q, p in lattice.coarse_points)
-    grid = IndexGrid(nodes, np.full(N * N, 1 / N))
-    family = {
-        node: displacement_discrete(N, int(node[0]), int(node[1])) for node in nodes
-    }
+    points = FiniteLattice(N).coarse_points
+    ops = np.array([displacement_discrete(N, q, p).entries for q, p in points])
+    family = SliceFamily(ops, np.zeros(N))
     return TomographicSystem(
-        dim=N,
-        grid=grid,
-        analysis=family.__getitem__,
-        synthesis=family.__getitem__,
+        grid=IndexGrid(tuple(points), np.full(N * N, 1 / N)),
+        analysis_family=family,
+        synthesis_family=family,
+        phis=np.zeros(1),
         vacuum=Operator(np.eye(N)),
         test_functional=Operator(np.eye(N)),
         normalization=1.0,

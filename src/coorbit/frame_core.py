@@ -1,13 +1,14 @@
 """Generic analysis/synthesis engine over an index grid.
 
-A :class:`TomographicSystem` bundles a quadrature grid over some index set X
-with two operator families: an *analysis* family (sampling an operator gives
-``values[i] = Tr(O analysis(x_i)^dag)``) and a *synthesis* family (the
-weighted sum ``sum_i w_i values[i] synthesis(x_i)`` rebuilds an operator).
-Admissibility constants, frame bounds from the mixed Gram superoperator,
-weighted-norm functionals and JSON serialization of grids and sample vectors
-all live here; the concrete instantiations (spin, finite lattice, homodyne,
-symplectic, SU(1,1)) only supply grids and operator families.
+A :class:`TomographicSystem` pairs a quadrature grid with an analysis family
+F (samples ``Tr(O F_k^dag)``) and a synthesis family G (``sum_k w_k s_k G_k``
+rebuilds O). A family is stored as its phase-0 ``slices`` (n_s, d, d) and a
+length-d ``charges`` vector: node k is slice ``k // len(phis)`` conjugated by
+diag(e^{i phi charges}) at ``phi = phis[k % len(phis)]``, the slice-major
+order of :func:`slice_major_grid`. Families without that U(1) covariance use
+``phis = [0.0]`` and one slice per node. Sampling and resummation are matrix
+products against e^{i charges x phis}; only :func:`frame_bounds` expands a
+family to one matrix per node. Instantiations supply grids, slices, charges.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .opalg import Operator, hs_inner, kahan_matrix_sum
+from .opalg import Operator, hs_inner
 
 GRAM_DIM_LIMIT = 4096
 
@@ -53,7 +54,18 @@ class IndexGrid:
 
     @property
     def grid_id(self) -> str:
-        return hashlib.sha256(grid_to_json(self).encode()).hexdigest()[:16]
+        """Content hash of the serialized grid, computed on first read."""
+        gid = self.__dict__.get("_grid_id")
+        if gid is None:
+            gid = hashlib.sha256(grid_to_json(self).encode()).hexdigest()[:16]
+            object.__setattr__(self, "_grid_id", gid)
+        return gid
+
+
+def slice_major_grid(radial, radial_weights, phis) -> IndexGrid:
+    """Nodes (r_i, phi_j) with weight radial_weights[i], in r-major order."""
+    nodes = tuple((float(r), float(ph)) for r in radial for ph in phis)
+    return IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), len(phis)))
 
 
 @dataclass(frozen=True)
@@ -103,21 +115,29 @@ class RegularizerSpec:
         return math.exp(-x * x / (2 * self.delta**2))
 
 
+class SliceFamily(NamedTuple):
+    """Operators U_phi slices[s] U_phi^dag with U_phi = diag(exp(i phi charges))."""
+
+    slices: np.ndarray
+    charges: np.ndarray
+
+
 @dataclass(frozen=True)
 class TomographicSystem:
     """Grid plus paired analysis/synthesis operator families.
 
-    ``analysis(node)`` and ``synthesis(node)`` return Operators of the
-    system dimension; ``vacuum`` seeds the synthesis family, the
-    ``test_functional`` operator L0 realizes the analysis functional through
-    the trace pairing, and ``normalization`` is the constant P dividing the
-    analyze -> synthesize round trip.
+    Both families hold len(grid) / len(phis) slices in the module's node
+    order. ``analysis(node)`` and ``synthesis(node)`` are read-only views
+    returning one node's Operator; the engine never calls them. ``vacuum``
+    (of dimension ``dim``) seeds the synthesis family, the ``test_functional``
+    operator L0 realizes the analysis functional through the trace pairing,
+    and ``normalization`` is the constant P dividing the round trip.
     """
 
-    dim: int
     grid: IndexGrid
-    analysis: Callable[[tuple], Operator]
-    synthesis: Callable[[tuple], Operator]
+    analysis_family: SliceFamily
+    synthesis_family: SliceFamily
+    phis: np.ndarray
     vacuum: Operator
     test_functional: Operator
     normalization: complex
@@ -126,6 +146,68 @@ class TomographicSystem:
         p = complex(self.normalization)
         if p == 0 or not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise ValueError("normalization constant must be nonzero and finite")
+        n_s, rest = divmod(len(self.grid), len(self.phis))
+        for name in ("analysis", "synthesis"):
+            family = getattr(self, f"{name}_family")
+            shape = (n_s, self.dim, self.dim)
+            if rest or np.shape(family.slices) != shape or np.shape(family.charges) != shape[1:2]:
+                raise ValueError(f"{name} family needs {shape} slices and {self.dim} charges")
+            if not (np.all(np.isfinite(family.slices)) and np.all(np.isfinite(family.charges))):
+                raise ValueError(f"{name} family must be finite")
+            object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family))
+
+    @property
+    def dim(self) -> int:
+        return self.vacuum.dim
+
+
+def _node_view(nodes: tuple, phis: np.ndarray, family: SliceFamily):
+    def at(node) -> Operator:
+        s, p = divmod(nodes.index(tuple(node)), len(phis))
+        u = np.exp(1j * phis[p] * np.asarray(family.charges))
+        return Operator(u[:, None] * family.slices[s] * u.conj())
+
+    return at
+
+
+def _charge_differences(charges):
+    """Distinct values of c_a - c_b, and the index of each flat (a, b) entry's value."""
+    return np.unique(np.subtract.outer(charges, charges).ravel(), return_inverse=True)
+
+
+def _samples(family: SliceFamily, phis: np.ndarray, o: Operator) -> np.ndarray:
+    """Tr(o F_k^dag) for node k = (s, phi): sum_delta G(s, delta) e^{-i phi delta}.
+
+    G(s, delta) sums the entries (a, b) of conj(S_s) o with c_a - c_b = delta.
+    """
+    n_s, dim, _ = np.shape(family.slices)
+    if o.dim != dim:
+        raise ValueError(f"dimension mismatch: operator {o.dim}, system {dim}")
+    deltas, inv = _charge_differences(family.charges)
+    order = np.argsort(inv, kind="stable")
+    m = np.reshape(family.slices, (n_s, -1))[:, order]
+    np.conj(m, out=m)
+    m *= o.entries.ravel()[order]
+    g = np.add.reduceat(m, np.searchsorted(inv[order], np.arange(len(deltas))), axis=1)
+    return (g @ np.exp(-1j * np.multiply.outer(deltas, phis))).ravel()
+
+
+def _resum(family: SliceFamily, phis: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k F_k = sum_s S_s * C(s, c_a - c_b), C(s, delta) = sum_phi c e^{i phi delta}."""
+    n_s, dim, _ = np.shape(family.slices)
+    deltas, inv = _charge_differences(family.charges)
+    p = (c.reshape(n_s, len(phis)) @ np.exp(1j * np.multiply.outer(phis, deltas)))[:, inv]
+    p *= np.reshape(family.slices, (n_s, -1))
+    return p.sum(axis=0).reshape(dim, dim)
+
+
+def expand_family(family: SliceFamily, phis: np.ndarray) -> np.ndarray:
+    """Dense (n_s * len(phis), d, d) stack of the family in node order."""
+    n_s, d, _ = np.shape(family.slices)
+    u = np.exp(1j * np.multiply.outer(phis, family.charges))
+    dense = u[None, :, :, None] * family.slices[:, None]
+    dense *= u.conj()[None, :, None, :]
+    return dense.reshape(n_s * len(phis), d, d)
 
 
 class AdmissibilityResult(NamedTuple):
@@ -136,25 +218,16 @@ class AdmissibilityResult(NamedTuple):
 def analyze(sys: TomographicSystem, o: Operator) -> SampleVector:
     """Sample an operator against the analysis family.
 
-    values[i] = Tr(o analysis(x_i)^dag); linear in o.
+    values[k] = Tr(o F_k^dag); linear in o.
     """
-    if o.dim != sys.dim:
-        raise ValueError(f"dimension mismatch: operator {o.dim}, system {sys.dim}")
-    values = np.array(
-        [hs_inner(sys.analysis(node), o) for node in sys.grid.nodes], dtype=complex
-    )
-    return SampleVector(values, sys.grid.grid_id)
+    return SampleVector(_samples(sys.analysis_family, sys.phis, o), sys.grid.grid_id)
 
 
 def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
     """Weighted resummation of samples over the synthesis family."""
     if s.grid_id != sys.grid.grid_id or len(s.values) != len(sys.grid):
         raise ValueError("sample vector is not aligned with the system grid")
-    terms = (
-        w * v * sys.synthesis(node).entries
-        for node, w, v in zip(sys.grid.nodes, sys.grid.weights, s.values)
-    )
-    return Operator(kahan_matrix_sum(terms, (sys.dim, sys.dim)))
+    return Operator(_resum(sys.synthesis_family, sys.phis, sys.grid.weights * s.values))
 
 
 def roundtrip(sys: TomographicSystem, o: Operator):
@@ -170,19 +243,15 @@ def admissibility_constant(
 ) -> AdmissibilityResult:
     """Quadrature admissibility constant for a vacuum/functional pair.
 
-    C = sum_i w_i <analysis(x_i), sys.vacuum> <l0p, synthesis(x_i)>, together
-    with the projection constant P = C / <l0p, sys.vacuum> when the
-    denominator is nonzero (NaN otherwise). ``b0p`` replaces the system
-    vacuum on the analysis side, covering the primed-vacuum variant.
+    C = sum_k w_k <F_k, b0p> <l0p, G_k> over the analysis family F and the
+    synthesis family G, together with the projection constant
+    P = C / <l0p, sys.vacuum> when the denominator is nonzero (NaN
+    otherwise). ``b0p`` replaces the system vacuum on the analysis side,
+    covering the primed-vacuum variant.
     """
-    c = 0j
-    comp = 0j
-    for node, w in zip(sys.grid.nodes, sys.grid.weights):
-        term = w * hs_inner(sys.analysis(node), b0p) * hs_inner(l0p, sys.synthesis(node))
-        y = term - comp
-        s = c + y
-        comp = (s - c) - y
-        c = s
+    a = _samples(sys.analysis_family, sys.phis, b0p)
+    g = _samples(sys.synthesis_family, sys.phis, l0p)
+    c = complex(np.sum(sys.grid.weights * a * g.conj()))
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("admissibility quadrature diverged (non-admissible system)")
     denom = hs_inner(l0p, sys.vacuum)
@@ -195,26 +264,17 @@ def singular_admissibility(
 ) -> complex:
     """Probe-regularized admissibility constant for singular vacua.
 
-    C(b0, p0) = < sum_i w_i <family(x_i), probe> family(x_i), L0 >, where the
-    operator family is the system's stored image of the group orbit through
-    the vacuum (``synthesis`` by default; ``analysis`` for systems whose
+    C(b0, p0) = < sum_k w_k <F_k, probe> F_k, L0 >, where the operator
+    family F is the system's stored image of the group orbit through the
+    vacuum (``synthesis`` by default; ``analysis`` for systems whose
     synthesis side is a dual family rather than the orbit itself).
     """
-    if probe.dim != sys.dim:
-        raise ValueError(f"dimension mismatch: probe {probe.dim}, system {sys.dim}")
     if family not in ("synthesis", "analysis"):
         raise ValueError(f"unknown family {family!r}")
-    fam = sys.synthesis if family == "synthesis" else sys.analysis
-    l0 = sys.test_functional
-    total = 0j
-    comp = 0j
-    for node, w in zip(sys.grid.nodes, sys.grid.weights):
-        op = fam(node)
-        term = w * hs_inner(op, probe) * hs_inner(l0, op)
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
+    fam = sys.synthesis_family if family == "synthesis" else sys.analysis_family
+    p = _samples(fam, sys.phis, probe)
+    l0 = _samples(fam, sys.phis, sys.test_functional)
+    total = complex(np.sum(sys.grid.weights * p * l0.conj()))
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise ValueError("singular admissibility quadrature diverged")
     return total
@@ -251,17 +311,39 @@ def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:
     return float(np.sum(grid.weights * np.abs(s.values) ** d) ** (1 / d))
 
 
+def _charge_sectors(sys: TomographicSystem) -> list:
+    """Groups of vec(a, b) indices that the mixed Gram matrix never couples.
+
+    With equal integer charges, a uniform full-circle phi axis and
+    phi-independent weights, the phi sum cancels every Gram entry between
+    c_a - c_b sectors unequal modulo len(phis); otherwise there is one block.
+    Small blocks also keep LAPACK single-threaded, so the bounds do not
+    depend on the BLAS thread count.
+    """
+    n_phi = len(sys.phis)
+    deltas, inv = _charge_differences(sys.analysis_family.charges)
+    w = sys.grid.weights.reshape(-1, n_phi)
+    key = (np.round(deltas).astype(int) % n_phi)[inv]
+    if not (
+        np.array_equal(sys.analysis_family.charges, sys.synthesis_family.charges)
+        and np.array_equal(deltas, np.round(deltas))
+        and np.all(w == w[:, :1])
+        and np.allclose(np.diff(sys.phis), 2 * math.pi / n_phi, rtol=0, atol=1e-12)
+    ):
+        key[:] = 0
+    return [np.flatnonzero(key == k) for k in np.unique(key)]
+
+
 def frame_bounds(
     sys: TomographicSystem, d: float = 2, sample_count: int = 256, seed: int = 0
 ) -> FrameReport:
     """Frame bounds of the analysis/synthesis pair.
 
-    For d = 2 the mixed Gram superoperator
-    S = sum_i w_i vec(synthesis_i) vec(analysis_i)^dag is assembled as a
-    dim^2 x dim^2 matrix, symmetrized and diagonalized; A and B are the
-    square roots of its extreme eigenvalues. For d != 2 the bounds are
-    sampled empirically over random unit-norm operators (estimates, not
-    certificates).
+    For d = 2 the mixed Gram superoperator S = sum_k w_k vec(G_k) vec(F_k)^dag
+    is assembled as a dim^2 x dim^2 matrix, symmetrized and diagonalized one
+    charge sector at a time; A and B are the square roots of its extreme
+    eigenvalues. For d != 2 the bounds are sampled empirically over random
+    unit-norm operators (estimates, not certificates).
     """
     dim = sys.dim
     if dim * dim > GRAM_DIM_LIMIT:
@@ -271,16 +353,12 @@ def frame_bounds(
         )
     adm = admissibility_constant(sys, sys.vacuum, sys.test_functional).constant
     if d == 2:
-        n = len(sys.grid)
-        va = np.empty((n, dim * dim), dtype=complex)
-        vs = np.empty((n, dim * dim), dtype=complex)
-        for i, node in enumerate(sys.grid.nodes):
-            va[i] = sys.analysis(node).entries.ravel()
-            vs[i] = sys.synthesis(node).entries.ravel()
-        gram = (vs * sys.grid.weights[:, None]).T @ va.conj()
-        gram = (gram + gram.conj().T) / 2
-        evals = np.linalg.eigvalsh(gram)
-        lo, hi = float(evals[0]), float(evals[-1])
+        va = expand_family(sys.analysis_family, sys.phis).reshape(-1, dim * dim)
+        vs = expand_family(sys.synthesis_family, sys.phis).reshape(-1, dim * dim)
+        w = sys.grid.weights[:, None]
+        grams = ((vs[:, i] * w).T @ va[:, i].conj() for i in _charge_sectors(sys))
+        evals = np.concatenate([np.linalg.eigvalsh((g + g.conj().T) / 2) for g in grams])
+        lo, hi = float(evals.min()), float(evals.max())
     else:
         rng = np.random.default_rng(seed)
         ratios = []

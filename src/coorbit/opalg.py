@@ -71,14 +71,6 @@ class Operator:
         return Operator(self.entries @ other.entries)
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
-
-
-def zero(dim: int) -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=complex))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator.
@@ -169,18 +161,3 @@ def closest_density(a: Operator) -> DensityMatrix:
         raise ValueError("operator has no positive spectral weight")
     return DensityMatrix(Operator((v * (w / total)) @ v.conj().T))
 
-
-def kahan_matrix_sum(terms, shape) -> np.ndarray:
-    """Compensated (Kahan) sum of complex matrices in iteration order.
-
-    All grid reductions use this with a fixed node ordering so results are
-    bit-stable across runs.
-    """
-    total = np.zeros(shape, dtype=complex)
-    comp = np.zeros(shape, dtype=complex)
-    for term in terms:
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total

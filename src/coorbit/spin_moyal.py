@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frame_core import IndexGrid, SampleVector, TomographicSystem, analyze
+from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, analyze
+from .frame_core import slice_major_grid
 from .opalg import DensityMatrix, Operator, matrix_exp
 
 
@@ -58,14 +59,10 @@ class SphereGrid:
     phi_weight: float
 
     def to_index_grid(self, p: SpinParams) -> IndexGrid:
-        nodes = []
-        weights = []
         scale = (p.two_s + 1) / (4 * math.pi)
-        for th, wt in zip(self.theta_nodes, self.theta_weights):
-            for ph in self.phi_nodes:
-                nodes.append((float(th), float(ph)))
-                weights.append(scale * wt * self.phi_weight)
-        return IndexGrid(tuple(nodes), np.array(weights))
+        return slice_major_grid(
+            self.theta_nodes, scale * self.theta_weights * self.phi_weight, self.phi_nodes
+        )
 
 
 def sphere_grid(p: SpinParams, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
@@ -218,14 +215,15 @@ def moyal_system(
             f"grid is under-resolved for 2s={p.two_s}: need at least "
             f"{need_theta} theta nodes and {need_phi} phi nodes"
         )
-    index_grid = grid.to_index_grid(p)
-    direct = {node: kernel_direct(p, *node) for node in index_grid.nodes}
-    dual = {node: kernel_dual(p, *node) for node in index_grid.nodes}
+    # Rotating about z by phi conjugates both kernels by diag(e^{-i phi m}).
+    charges = np.arange(p.dim) - p.s  # -m in the m = s..-s ordering
+    dual = np.array([kernel_dual(p, th, 0.0).entries for th in grid.theta_nodes])
+    direct = np.array([kernel_direct(p, th, 0.0).entries for th in grid.theta_nodes])
     return TomographicSystem(
-        dim=p.dim,
-        grid=index_grid,
-        analysis=dual.__getitem__,
-        synthesis=direct.__getitem__,
+        grid=grid.to_index_grid(p),
+        analysis_family=SliceFamily(dual, charges),
+        synthesis_family=SliceFamily(direct, charges),
+        phis=grid.phi_nodes,
         vacuum=kernel_direct(p, 0.0, 0.0),
         test_functional=kernel_dual(p, 0.0, 0.0),
         normalization=1.0,

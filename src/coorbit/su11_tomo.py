@@ -12,6 +12,10 @@ closed forms that are exact entrywise at truncation:
 * pi(theta, phi) = cosh(theta) Kz
   + (i/2) sinh(theta) (-e^{-i phi} K+ + e^{i phi} K-).
 
+With U_phi = diag(e^{i phi r}), B(theta, phi) = U_phi B(theta, 0) U_phi^dag
+(charges +r) but pi(theta, phi) = U_phi^dag pi(theta, 0) U_phi (charges -r);
+whether the opposite signs are the intended orbit convention is open.
+
 The measure is (1/(4 pi)) dphi tanh(theta) dtheta with a configurable
 theta_max; biorthogonality and probe admissibility are checked by
 quadrature with convergence ladders in theta_max.
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_core import IndexGrid, TomographicSystem, analyze, synthesize
+from .frame_core import IndexGrid, SliceFamily, TomographicSystem, analyze, synthesize
+from .frame_core import singular_admissibility, slice_major_grid
 from .opalg import DensityMatrix, Operator
 
 INTERIOR_MARGIN = 2  # top levels excluded from algebra assertions
@@ -143,30 +148,29 @@ class SUGrid:
     def to_index_grid(self) -> IndexGrid:
         tn, tw = np.polynomial.legendre.leggauss(self.n_theta)
         theta = (tn + 1) * self.theta_max / 2
-        tw = tw * self.theta_max / 2
         phi = np.arange(self.n_phi) * 2 * math.pi / self.n_phi
-        phw = 2 * math.pi / self.n_phi
-        nodes = []
-        weights = []
-        for th, wt in zip(theta, tw):
-            for ph in phi:
-                nodes.append((float(th), float(ph)))
-                weights.append(wt * math.tanh(th) * phw / (4 * math.pi))
-        return IndexGrid(tuple(nodes), np.array(weights))
+        weights = tw * self.theta_max / 2 * np.tanh(theta) * (2 * math.pi / self.n_phi)
+        return slice_major_grid(theta, weights / (4 * math.pi), phi)
 
 
 def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
-    """System with analysis = B, synthesis = pi over the hyperbolic grid."""
+    """System with analysis = B (charges +r), synthesis = pi (charges -r)."""
     if rep.cutoff < 6:
         raise ValueError("need cutoff >= 6")
+    return _slice_system(rep, grid)
+
+
+def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     index_grid = grid.to_index_grid()
-    b_cache = {node: analysis_B(rep, *node) for node in index_grid.nodes}
-    pi_cache = {node: synthesis_pi(rep, *node) for node in index_grid.nodes}
+    nodes = np.array(index_grid.nodes)
+    theta, phis = nodes[:: grid.n_phi, 0], nodes[: grid.n_phi, 1]
+    b = np.array([analysis_B(rep, th, 0.0).entries for th in theta])
+    pi = np.array([synthesis_pi(rep, th, 0.0).entries for th in theta])
     return TomographicSystem(
-        dim=rep.cutoff,
         grid=index_grid,
-        analysis=b_cache.__getitem__,
-        synthesis=pi_cache.__getitem__,
+        analysis_family=SliceFamily(b, np.arange(rep.cutoff)),
+        synthesis_family=SliceFamily(pi, -np.arange(rep.cutoff)),
+        phis=phis,
         vacuum=Operator(np.eye(rep.cutoff)),
         test_functional=Operator(np.eye(rep.cutoff)),
         normalization=1.0,
@@ -176,24 +180,18 @@ def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
 def biorthogonality_check(rep: DiscreteSeriesRep, grid: SUGrid, indices) -> complex:
     """Quadrature of the pairing sum_x w_x <m|B^dag(x)|n> <l|pi(x)|q>.
 
-    Converges to delta_{mq} delta_{nl}-type values as theta_max grows;
-    indices near the truncation boundary are unreliable (warning range is
-    the top INTERIOR_MARGIN levels).
+    Entry (l, q) of the engine round trip of |m><n| through the
+    :func:`su11_system` slices, at any cutoff. Converges to
+    delta_{mq} delta_{nl}-type values as theta_max grows; indices near the
+    truncation boundary are unreliable (top INTERIOR_MARGIN levels).
     """
     m, n, l, q = indices
     if max(indices) >= rep.cutoff - INTERIOR_MARGIN:
         raise ValueError("indices must sit at least two levels below the cutoff")
-    total = 0j
-    for node, w in zip(*_grid_arrays(grid)):
-        b = analysis_B(rep, *node).entries
-        p = synthesis_pi(rep, *node).entries
-        total += w * np.conj(b[m, n]) * p[l, q]
-    return complex(total)
-
-
-def _grid_arrays(grid: SUGrid):
-    ig = grid.to_index_grid()
-    return ig.nodes, ig.weights
+    sys = _slice_system(rep, grid)
+    unit = np.zeros((rep.cutoff, rep.cutoff))
+    unit[m, n] = 1
+    return complex(synthesize(sys, analyze(sys, Operator(unit))).entries[l, q])
 
 
 def biorthogonality_ladder(
@@ -242,7 +240,5 @@ def thermal_admissibility(rep: DiscreteSeriesRep, b: float, grid: SUGrid) -> com
     C = sum_x w_x Tr(B(x)^dag p0) Tr(B(x)); equals 1/(1-b) = 2 at b = 1/2
     for large theta_max and cutoff.
     """
-    from .frame_core import singular_admissibility
-
     sys = su11_system(rep, grid)
     return singular_admissibility(sys, thermal_probe(rep, b), family="analysis")

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coorbit.cli import build_state, load_config, main, worker_count
+import coorbit
+from coorbit.cli import build_state, load_config, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -110,6 +115,32 @@ class TestTomoRun:
         assert main(["tomo-run", "--config", path, "--out", str(out1)]) == 0
         assert main(["tomo-run", "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        # the engine and frame_bounds go through BLAS and LAPACK; the thread
+        # count must not change a byte of the report
+        path = write_config(
+            tmp_path,
+            {"system": "homodyne",
+             "params": {"d": 16, "R": 5.5, "n_r": 24, "n_phi": 40},
+             "state": {"kind": "coherent", "d": 16, "beta_re": 0.6, "beta_im": -0.3},
+             "frame_bounds": True},
+        )
+        src = str(Path(coorbit.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "coorbit.cli", "tomo-run", "--config", path,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert "frame_A" in json.loads(outputs[0])
+        assert outputs[0] == outputs[1]
 
     def test_tolerance_failure_exit_2(self, tmp_path, capsys):
         path = write_config(
@@ -217,19 +248,3 @@ class TestEmit:
         assert main(["emit", "--config", path, "--out", str(tmp_path / "o"),
                      "--kind", "qfunc"]) == 1
 
-
-class TestWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("COORBIT_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("COORBIT_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_invalid_value(self, monkeypatch):
-        from coorbit.cli import ConfigError
-
-        monkeypatch.setenv("COORBIT_THREADS", "many")
-        with pytest.raises(ConfigError):
-            worker_count()

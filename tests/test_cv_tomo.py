@@ -12,6 +12,7 @@ from coorbit.cv_tomo import (
     char_function,
     coherent_state,
     displaced_parity,
+    displaced_parity_closed,
     displacement_cv,
     homodyne_system,
     lowering,
@@ -185,13 +186,14 @@ class TestHomodyneSystem:
         )
 
     def test_phase_closure_matches_direct(self):
-        # the cached radial + phase-conjugation path equals a direct build
+        # radial slices conjugated by e^{i phi n} equal a direct build at every node
         f = FockSpace(10)
         sys = homodyne_system(f, PolarGrid(2.0, 4, 4))
-        for node in sys.grid.nodes[:6]:
+        for node in sys.grid.nodes:
             r, ph = node
             direct = displacement_cv(f, r * np.exp(1j * ph)).entries
             assert np.abs(sys.analysis(node).entries - direct).max() < 1e-12
+            assert np.abs(sys.synthesis(node).entries - direct).max() < 1e-12
 
 
 class TestProbeAdmissibility:
@@ -232,6 +234,12 @@ class TestDisplacedParity:
     def test_quadrature_matches_scaled_parity(self):
         u0 = displaced_parity(FockSpace(10), 0.0).entries
         assert np.abs(u0 - 2 * parity_operator(10).entries).max() < 1e-7
+
+    def test_closed_form_matches_quadrature(self):
+        f = FockSpace(10)
+        for alpha in (0.0, 0.3 + 0.2j, -0.5j):
+            quad = displaced_parity(f, alpha).entries
+            assert np.abs(quad - displaced_parity_closed(f, alpha).entries).max() < 1e-11
 
     def test_wigner_vacuum_gaussian(self):
         rho = fock_state(24, 0)

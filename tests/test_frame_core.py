@@ -1,14 +1,16 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from coorbit import frame_core
 from coorbit.discrete_ps import heisenberg_finite_system
 from coorbit.frame_core import (
     IndexGrid,
     RegularizerSpec,
     SampleVector,
-    TomographicSystem,
     admissibility_constant,
     analyze,
     check_vacuum_invariance,
@@ -45,6 +47,17 @@ class TestIndexGrid:
         g2 = IndexGrid(((0.0,), (1.0,)), np.array([1.0, 2.5]))
         assert g1.grid_id != g2.grid_id
         assert g1.grid_id == IndexGrid(g1.nodes, g1.weights).grid_id
+
+    def test_grid_id_serializes_once(self, monkeypatch):
+        grid = IndexGrid(((0.0, 1.5), (2.0, 0.25)), np.array([1.0, 3.0]))
+        expect = hashlib.sha256(grid_to_json(grid).encode()).hexdigest()[:16]
+        calls = []
+        monkeypatch.setattr(
+            frame_core, "grid_to_json", lambda g: calls.append(g) or grid_to_json(g)
+        )
+        assert grid.grid_id == expect
+        assert grid.grid_id == expect
+        assert len(calls) == 1
 
 
 class TestSerialization:
@@ -181,15 +194,7 @@ class TestVacuumInvariance:
     def test_wrong_vacuum_detected(self):
         p = SpinParams(1)
         sys = moyal_system(p, sphere_grid(p))
-        bad = TomographicSystem(
-            dim=sys.dim,
-            grid=sys.grid,
-            analysis=sys.analysis,
-            synthesis=sys.synthesis,
-            vacuum=Operator(np.array([[0, 1], [1, 0]], dtype=complex)),
-            test_functional=sys.test_functional,
-            normalization=sys.normalization,
-        )
+        bad = dataclasses.replace(sys, vacuum=Operator(np.array([[0, 1], [1, 0]], dtype=complex)))
         from coorbit.opalg import matrix_exp
 
         jz = np.diag([0.5, -0.5])
@@ -239,14 +244,8 @@ class TestFrameBounds:
 
     def test_weight_doubling_scales_bounds(self):
         sys = heisenberg_finite_system(2)
-        doubled = TomographicSystem(
-            dim=sys.dim,
-            grid=IndexGrid(sys.grid.nodes, 2 * np.asarray(sys.grid.weights)),
-            analysis=sys.analysis,
-            synthesis=sys.synthesis,
-            vacuum=sys.vacuum,
-            test_functional=sys.test_functional,
-            normalization=sys.normalization,
+        doubled = dataclasses.replace(
+            sys, grid=IndexGrid(sys.grid.nodes, 2 * np.asarray(sys.grid.weights))
         )
         report = frame_bounds(doubled)
         assert report.A == pytest.approx(math.sqrt(2), abs=1e-12)

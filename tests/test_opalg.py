@@ -9,7 +9,6 @@ from coorbit.opalg import (
     eig_hermitian,
     fidelity,
     hs_inner,
-    kahan_matrix_sum,
     matrix_exp,
     tensor,
 )
@@ -191,9 +190,3 @@ class TestClosestDensity:
         again = closest_density(rho.op)
         assert np.abs(again.op.entries - rho.op.entries).max() < 1e-15
 
-
-def test_kahan_sum_matches_plain_sum():
-    rng = np.random.default_rng(6)
-    terms = [random_matrix(rng, 3) for _ in range(100)]
-    got = kahan_matrix_sum(iter(terms), (3, 3))
-    assert np.abs(got - sum(terms)).max() < 1e-12

@@ -205,6 +205,15 @@ class TestMoyalSystem:
         assert abs(report.A - 1) < 1e-10
         assert abs(report.B - 1) < 1e-10
 
+    def test_phase_closure_matches_direct(self):
+        # theta slices conjugated by diag(e^{-i phi m}) equal the kernels at every node
+        p = SpinParams(4)
+        sys = moyal_system(p, sphere_grid(p))
+        for node in sys.grid.nodes:
+            dual, direct = kernel_dual(p, *node).entries, kernel_direct(p, *node).entries
+            assert np.abs(sys.analysis(node).entries - dual).max() < 1e-12
+            assert np.abs(sys.synthesis(node).entries - direct).max() < 1e-12
+
     def test_covariance_under_azimuthal_rotation(self):
         # rotating the state about z permutes the phi nodes of the symbol
         p = SpinParams(2)

@@ -155,6 +155,20 @@ class TestBiorthogonality:
         val = biorthogonality_check(rep, SUGrid(4.0, 60, 16), (0, 1, 0, 0))
         assert abs(val) < 1e-10
 
+    def test_matches_per_node_sum(self):
+        # the engine round trip equals the direct sum over B and pi at every
+        # node, also below su11_system's cutoff guard
+        for cutoff, indices in ((4, (0, 1, 1, 0)), (8, (2, 1, 2, 3))):
+            rep = DiscreteSeriesRep(1.0, cutoff)
+            grid = SUGrid(2.5, 10, 6)
+            m, n, l, q = indices
+            ig = grid.to_index_grid()
+            terms = [
+                w * np.conj(analysis_B(rep, *x).entries[m, n]) * synthesis_pi(rep, *x).entries[l, q]
+                for x, w in zip(ig.nodes, ig.weights)
+            ]
+            assert abs(biorthogonality_check(rep, grid, indices) - sum(terms)) < 1e-13
+
     def test_boundary_indices_rejected(self):
         rep = DiscreteSeriesRep(1.0, 8)
         with pytest.raises(ValueError):
@@ -173,6 +187,15 @@ class TestSystem:
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError):
             su11_system(DiscreteSeriesRep(1.0, 4), SUGrid(2.0, 10, 4))
+
+    def test_phase_closure_matches_direct(self):
+        # B carries charges +r and pi carries -r: both equal direct builds at every node
+        rep = DiscreteSeriesRep(1.0, 8)
+        sys = su11_system(rep, SUGrid(3.0, 6, 8))
+        for node in sys.grid.nodes:
+            b, pi = analysis_B(rep, *node).entries, synthesis_pi(rep, *node).entries
+            assert np.abs(sys.analysis(node).entries - b).max() < 1e-12
+            assert np.abs(sys.synthesis(node).entries - pi).max() < 1e-12
 
     def test_reconstruction_linearity(self):
         rep = DiscreteSeriesRep(1.0, 8)
