@@ -7,6 +7,9 @@ Three subcommands driven by a strictly validated JSON config:
 * ``emit``        — export distributions (wigner / qfunc / marginal / symbols)
   as CSV.
 
+Each config section is checked against its typed table by :func:`_typed`;
+the commands read only the typed values it returns.
+
 Exit codes: 0 success, 1 usage or config error, 2 tolerance failure.
 All floating-point output is printed with 17 significant digits, and node
 orders and reduction orders are fixed, so identical configs yield
@@ -26,7 +29,34 @@ from .frame_core import admissibility_constant, frame_bounds, roundtrip
 from .opalg import DensityMatrix, Operator, closest_density, fidelity
 
 SYSTEMS = ("spin", "dps", "homodyne", "symplectic", "su11")
-STATE_KINDS = ("fock", "coherent", "thermal", "spin_coherent", "random")
+
+REQ = "required"  # a key that must be present
+TOMO = "required by tomo-run"  # a key tomo-run needs and emit does not read
+
+# Each table maps a key to (type, default). The type is int, float, bool,
+# dict, list (a non-empty list of floats) or a tuple of the allowed strings.
+TOP = {"system": (SYSTEMS, REQ), "params": (dict, REQ), "state": (dict, None),
+       "tolerances": (dict, {}), "seed": (int, 0), "frame_bounds": (bool, True)}
+TOLERANCES = {"hs_error": (float, None), "fidelity": (float, None)}
+PARAMS = {
+    "dps": {"N": (int, REQ)},
+    "spin": {"two_s": (int, REQ), "n_theta": (int, None), "n_phi": (int, None)},
+    "homodyne": {"d": (int, REQ), "R": (float, REQ), "n_r": (int, REQ), "n_phi": (int, REQ)},
+    "symplectic": {"d": (int, REQ), "delta_ladder": (list, TOMO), "L": (float, 8.0),
+                   "n_mn": (int, 60), "mu": (float, 1.0), "nu": (float, 0.0), "n_X": (int, 81)},
+    "su11": {"k": (float, REQ), "cutoff": (int, REQ), "theta_max_ladder": (list, REQ),
+             "n_theta": (int, 80), "n_phi": (int, 16), "thermal_b": (float, 0.5)},
+}
+STATES = {
+    "fock": {"d": (int, REQ), "n": (int, REQ)},
+    "coherent": {"d": (int, REQ), "beta_re": (float, 0.0), "beta_im": (float, 0.0)},
+    "thermal": {"d": (int, REQ), "nbar": (float, REQ)},
+    "spin_coherent": {"two_s": (int, REQ), "theta": (float, REQ), "phi": (float, REQ)},
+    "random": {"d": (int, REQ), "seed": (int, 0)},
+}
+EMIT_SYSTEMS = {"wigner": "dps", "qfunc": "homodyne", "marginal": "symplectic", "symbols": "spin"}
+_EXPECTED = {int: "a non-negative integer", float: "a finite number", bool: "true or false",
+             dict: "an object", list: "a non-empty list of finite numbers"}
 
 
 class ConfigError(Exception):
@@ -63,51 +93,82 @@ def _json_17(obj, indent=0) -> str:
     return pad + json.dumps(str(obj))
 
 
-def _require_keys(doc: dict, allowed: set, required: set, where: str):
-    unknown = set(doc) - allowed
+def _is(kind, value) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:  # excludes NaN, +-inf and ints beyond the float range
+        return isinstance(value, (int, float)) and abs(value) <= _sys.float_info.max
+    if kind is int:  # every int is a size, a count, an index or a seed
+        return isinstance(value, int) and value >= 0
+    if kind is list:
+        return isinstance(value, list) and bool(value) and all(_is(float, x) for x in value)
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    return isinstance(value, kind)
+
+
+def _typed(section: dict, table: dict, where: str) -> dict:
+    """Check a config section against its table; return every key, typed or defaulted."""
+    out = {}
+    for key, (kind, default) in table.items():
+        if key not in section:
+            if default is REQ:
+                raise ConfigError(f"{where}.{key} is required")
+            out[key] = default
+        elif not _is(kind, section[key]):
+            want = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _EXPECTED[kind]
+            got = json.dumps(section[key], default=repr)
+            raise ConfigError(f"{where}.{key} must be {want}, got {got}")
+        elif kind is list:
+            out[key] = [float(x) for x in section[key]]
+        else:
+            out[key] = float(section[key]) if kind is float else section[key]
+    unknown = set(section) - set(table)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+    return out
+
+
+def _params(doc: dict, command: str) -> dict:
+    fill = REQ if command == "tomo-run" else None
+    table = {k: (t, fill if d is TOMO else d) for k, (t, d) in PARAMS[doc["system"]].items()}
+    return _typed(doc["params"], table, "params")
 
 
 def build_state(state_cfg: dict) -> DensityMatrix:
-    _require_keys(state_cfg, {"kind", "n", "d", "beta_re", "beta_im", "nbar", "two_s",
-                         "theta", "phi", "seed"}, {"kind"}, "state")
-    kind = state_cfg["kind"]
-    if kind not in STATE_KINDS:
-        raise ConfigError(f"unknown state kind {kind!r}")
+    kind = state_cfg.get("kind")
+    table = STATES[kind] if isinstance(kind, str) and kind in STATES else {}
+    s = _typed(state_cfg, {"kind": (tuple(STATES), REQ), **table}, "state")
     if kind == "fock":
-        d, n = int(state_cfg["d"]), int(state_cfg["n"])
-        if not 0 <= n < d:
+        if not 0 <= s["n"] < s["d"]:
             raise ConfigError("fock level must satisfy 0 <= n < d")
-        v = np.zeros(d)
-        v[n] = 1
+        v = np.zeros(s["d"])
+        v[s["n"]] = 1
         return DensityMatrix(Operator(np.outer(v, v)))
     if kind == "coherent":
-        d = int(state_cfg["d"])
-        beta = complex(float(state_cfg.get("beta_re", 0.0)), float(state_cfg.get("beta_im", 0.0)))
-        v = cv_tomo.coherent_state(cv_tomo.FockSpace(d), beta)
+        v = cv_tomo.coherent_state(cv_tomo.FockSpace(s["d"]), complex(s["beta_re"], s["beta_im"]))
         return DensityMatrix(Operator(np.outer(v, v.conj())))
     if kind == "thermal":
-        d, nbar = int(state_cfg["d"]), float(state_cfg["nbar"])
-        if nbar <= 0:
+        if s["nbar"] <= 0:
             raise ConfigError("thermal occupation must be positive")
-        b = nbar / (1 + nbar)
-        diag = (1 - b) * b ** np.arange(d)
+        b = s["nbar"] / (1 + s["nbar"])
+        diag = (1 - b) * b ** np.arange(s["d"])
         return DensityMatrix(Operator(np.diag(diag / diag.sum())))
     if kind == "spin_coherent":
-        p = spin_moyal.SpinParams(int(state_cfg["two_s"]))
-        return DensityMatrix(
-            spin_moyal.kernel_direct(p, float(state_cfg["theta"]), float(state_cfg["phi"]))
-        )
-    # random
-    d = int(state_cfg["d"])
-    rng = np.random.default_rng(int(state_cfg.get("seed", 0)))
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        p = spin_moyal.SpinParams(s["two_s"])
+        return DensityMatrix(spin_moyal.kernel_direct(p, s["theta"], s["phi"]))
+    rng = np.random.default_rng(s["seed"])
+    m = rng.normal(size=(s["d"], s["d"])) + 1j * rng.normal(size=(s["d"], s["d"]))
     rho = m @ m.conj().T
     return DensityMatrix(Operator(rho / np.trace(rho).real))
+
+
+def _state(doc: dict, dim=None, **default) -> DensityMatrix:
+    """The config's state, else the command's default; tomo-run pins the dimension."""
+    rho = build_state(default if doc["state"] is None else doc["state"])
+    if dim is not None and rho.dim != dim:
+        raise ConfigError(f"state dim {rho.dim} does not match system dim {dim}")
+    return rho
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -116,53 +177,28 @@ def load_config(path: str, overrides: dict) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    _require_keys(
-        doc,
-        {"system", "params", "state", "tolerances", "seed", "frame_bounds"},
-        {"system", "params"},
-        "config",
-    )
-    doc = dict(doc)
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
-    if doc["system"] not in SYSTEMS:
-        raise ConfigError(f"unknown system {doc['system']!r}")
-    tol = doc.get("tolerances", {})
-    _require_keys(tol, {"hs_error", "fidelity"}, set(), "tolerances")
+    doc = _typed({**doc, **{k: v for k, v in overrides.items() if v is not None}}, TOP, "config")
+    doc["tolerances"] = _typed(doc["tolerances"], TOLERANCES, "tolerances")
     return doc
 
 
-def _build_system(doc: dict):
-    name = doc["system"]
-    params = doc["params"]
-    if name == "dps":
-        _require_keys(params, {"N"}, {"N"}, "params")
-        return discrete_ps.heisenberg_finite_system(int(params["N"]))
-    if name == "spin":
-        _require_keys(params, {"two_s", "n_theta", "n_phi"}, {"two_s"}, "params")
-        p = spin_moyal.SpinParams(int(params["two_s"]))
-        grid = spin_moyal.sphere_grid(
-            p,
-            int(params["n_theta"]) if "n_theta" in params else None,
-            int(params["n_phi"]) if "n_phi" in params else None,
-        )
-        return spin_moyal.moyal_system(p, grid)
-    if name == "homodyne":
-        _require_keys(params, {"d", "R", "n_r", "n_phi"}, {"d", "R", "n_r", "n_phi"}, "params")
-        return cv_tomo.homodyne_system(
-            cv_tomo.FockSpace(int(params["d"])),
-            cv_tomo.PolarGrid(float(params["R"]), int(params["n_r"]), int(params["n_phi"])),
-        )
-    raise ConfigError(f"system {name!r} has no generic grid system")
+def _spin_grid(params: dict):
+    """Spin parameters and sphere grid, shared by tomo-run and emit symbols."""
+    p = spin_moyal.SpinParams(params["two_s"])
+    return p, spin_moyal.sphere_grid(p, params["n_theta"], params["n_phi"])
+
+
+def _polar_grid(params: dict) -> cv_tomo.PolarGrid:
+    """Homodyne polar grid, shared by tomo-run and emit qfunc."""
+    return cv_tomo.PolarGrid(params["R"], params["n_r"], params["n_phi"])
 
 
 def cmd_state_make(doc: dict, out_path: str) -> int:
-    if "state" not in doc:
+    if doc["state"] is None:
         raise ConfigError("state-make needs a 'state' section")
     rho = build_state(doc["state"])
     payload = {
@@ -175,76 +211,56 @@ def cmd_state_make(doc: dict, out_path: str) -> int:
 
 
 def _check_tolerances(report: dict, tolerances: dict):
-    if "hs_error" in tolerances and report.get("hs_error") is not None:
-        if report["hs_error"] > float(tolerances["hs_error"]):
-            raise ToleranceError(
-                f"hs_error {report['hs_error']:.3e} exceeds "
-                f"{float(tolerances['hs_error']):.3e}; enlarge the grid or cutoff"
-            )
-    if "fidelity" in tolerances and report.get("fidelity") is not None:
-        if report["fidelity"] < float(tolerances["fidelity"]):
-            raise ToleranceError(
-                f"fidelity {report['fidelity']:.6f} below "
-                f"{float(tolerances['fidelity']):.6f}; enlarge the grid or cutoff"
-            )
+    hs, hs_max = report["hs_error"], tolerances["hs_error"]
+    fid, fid_min = report["fidelity"], tolerances["fidelity"]
+    if hs is not None and hs_max is not None and hs > hs_max:
+        raise ToleranceError(f"hs_error {hs:.3e} exceeds {hs_max:.3e}; enlarge the grid or cutoff")
+    if fid is not None and fid_min is not None and fid < fid_min:
+        raise ToleranceError(f"fidelity {fid:.6f} below {fid_min:.6f}; enlarge the grid or cutoff")
 
 
 def cmd_tomo_run(doc: dict, out_path: str) -> int:
     name = doc["system"]
-    params = doc["params"]
+    params = _params(doc, "tomo-run")
     report: dict = {"system": name}
-    if name in ("dps", "spin", "homodyne"):
-        sys_obj = _build_system(doc)
-        rho = build_state(doc.get("state", {"kind": "random", "d": sys_obj.dim, "seed": doc.get("seed", 0)}))
-        if rho.dim != sys_obj.dim:
-            raise ConfigError(f"state dim {rho.dim} does not match system dim {sys_obj.dim}")
+    if name == "symplectic":
+        f = cv_tomo.FockSpace(params["d"])
+        rho = _state(doc, f.d, kind="fock", n=0, d=f.d)
+        ladder = symplectic_tomo.delta_ladder(
+            rho, f, params["delta_ladder"], L=params["L"], n_mn=params["n_mn"]
+        )
+        report["ladder"] = ladder
+        report["fidelity"] = max(ladder["fidelity"])
+        report["hs_error"] = None
+    elif name == "su11":
+        rep = su11_tomo.DiscreteSeriesRep(params["k"], params["cutoff"])
+        theta_maxes, n_theta = params["theta_max_ladder"], params["n_theta"]
+        report["ladder"] = su11_tomo.biorthogonality_ladder(
+            rep, theta_maxes, n_theta=n_theta, n_phi=params["n_phi"]
+        )
+        grid = su11_tomo.SUGrid(max(theta_maxes), n_theta, 8)
+        c = su11_tomo.thermal_admissibility(rep, params["thermal_b"], grid)
+        report["thermal_admissibility"] = [c.real, c.imag]
+        report["fidelity"] = None
+        report["hs_error"] = None
+    else:
+        if name == "dps":
+            sys_obj = discrete_ps.heisenberg_finite_system(params["N"])
+        elif name == "spin":
+            sys_obj = spin_moyal.moyal_system(*_spin_grid(params))
+        else:
+            sys_obj = cv_tomo.homodyne_system(cv_tomo.FockSpace(params["d"]), _polar_grid(params))
+        rho = _state(doc, sys_obj.dim, kind="random", d=sys_obj.dim, seed=doc["seed"])
         rec, hs_error = roundtrip(sys_obj, rho.op)
         report["hs_error"] = hs_error
         report["fidelity"] = fidelity(rho, closest_density(rec))
         adm = admissibility_constant(sys_obj, sys_obj.vacuum, sys_obj.test_functional)
         report["admissibility"] = [adm.constant.real, adm.constant.imag]
-        if doc.get("frame_bounds", True):
+        if doc["frame_bounds"]:
             fr = frame_bounds(sys_obj)
             report["frame_A"] = fr.A
             report["frame_B"] = fr.B
-    elif name == "symplectic":
-        _require_keys(params, {"d", "delta_ladder", "L", "n_mn"}, {"d", "delta_ladder"}, "params")
-        f = cv_tomo.FockSpace(int(params["d"]))
-        rho = build_state(doc.get("state", {"kind": "fock", "n": 0, "d": f.d}))
-        if rho.dim != f.d:
-            raise ConfigError(f"state dim {rho.dim} does not match d={f.d}")
-        ladder = symplectic_tomo.delta_ladder(
-            rho,
-            f,
-            [float(x) for x in params["delta_ladder"]],
-            L=float(params.get("L", 8.0)),
-            n_mn=int(params.get("n_mn", 60)),
-        )
-        report["ladder"] = ladder
-        report["fidelity"] = max(ladder["fidelity"])
-        report["hs_error"] = None
-    else:  # su11
-        _require_keys(
-            params,
-            {"k", "cutoff", "theta_max_ladder", "n_theta", "n_phi", "thermal_b"},
-            {"k", "cutoff", "theta_max_ladder"},
-            "params",
-        )
-        rep = su11_tomo.DiscreteSeriesRep(float(params["k"]), int(params["cutoff"]))
-        ladder = su11_tomo.biorthogonality_ladder(
-            rep,
-            [float(x) for x in params["theta_max_ladder"]],
-            n_theta=int(params.get("n_theta", 80)),
-            n_phi=int(params.get("n_phi", 16)),
-        )
-        report["ladder"] = ladder
-        b = float(params.get("thermal_b", 0.5))
-        grid = su11_tomo.SUGrid(max(ladder["theta_max"]), int(params.get("n_theta", 80)), 8)
-        c = su11_tomo.thermal_admissibility(rep, b, grid)
-        report["thermal_admissibility"] = [c.real, c.imag]
-        report["fidelity"] = None
-        report["hs_error"] = None
-    _check_tolerances(report, doc.get("tolerances", {}))
+    _check_tolerances(report, doc["tolerances"])
     with open(out_path, "w") as fh:
         fh.write(_json_17(report) + "\n")
     return 0
@@ -252,66 +268,42 @@ def cmd_tomo_run(doc: dict, out_path: str) -> int:
 
 def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
     name = doc["system"]
-    rows = []
-    if kind == "wigner" and name == "dps":
-        N = int(doc["params"]["N"])
-        rho = build_state(doc.get("state", {"kind": "fock", "n": 0, "d": N}))
-        w = discrete_ps.discrete_wigner(rho, N)
+    if EMIT_SYSTEMS.get(kind) != name:
+        raise ConfigError(f"emit kind {kind!r} is not supported for system {name!r}")
+    params = _params(doc, "emit")
+    if kind == "wigner":
+        N = params["N"]
+        w = discrete_ps.discrete_wigner(_state(doc, kind="fock", n=0, d=N), N)
         header = "q,p,W"
-        for q in range(2 * N):
-            for p in range(2 * N):
-                rows.append(f"{q},{p},{_fmt(w[q, p])}")
-    elif kind == "qfunc" and name == "homodyne":
-        params = doc["params"]
-        d = int(params["d"])
-        rho = build_state(doc.get("state", {"kind": "fock", "n": 0, "d": d}))
-        grid = cv_tomo.PolarGrid(float(params["R"]), int(params["n_r"]), int(params["n_phi"]))
+        rows = [f"{q},{p},{_fmt(w[q, p])}" for q in range(2 * N) for p in range(2 * N)]
+    elif kind == "qfunc":
+        rho = _state(doc, kind="fock", n=0, d=params["d"])
         header = "alpha_re,alpha_im,value_re,value_im"
-        for node in grid.to_index_grid().nodes:
+        rows = []
+        for node in _polar_grid(params).to_index_grid().nodes:
             alpha = node[0] * np.exp(1j * node[1])
             q = cv_tomo.qfunction(rho, alpha)
             rows.append(f"{_fmt(alpha.real)},{_fmt(alpha.imag)},{_fmt(q)},{_fmt(0.0)}")
-    elif kind == "marginal" and name == "symplectic":
-        params = doc["params"]
-        d = int(params["d"])
-        rho = build_state(doc.get("state", {"kind": "fock", "n": 0, "d": d}))
-        mu, nu = float(params.get("mu", 1.0)), float(params.get("nu", 0.0))
-        x_nodes = np.linspace(-4, 4, int(params.get("n_X", 81)))
+    elif kind == "marginal":
+        rho = _state(doc, kind="fock", n=0, d=params["d"])
+        mu, nu = params["mu"], params["nu"]
+        x_nodes = np.linspace(-4, 4, params["n_X"])
         w = symplectic_tomo.marginal(rho, mu, nu, x_nodes)
         header = "X,mu,nu,w"
-        for x, wi in zip(x_nodes, w):
-            rows.append(f"{_fmt(x)},{_fmt(mu)},{_fmt(nu)},{_fmt(wi)}")
-    elif kind == "symbols" and name == "spin":
-        params = doc["params"]
-        p = spin_moyal.SpinParams(int(params["two_s"]))
-        rho = build_state(doc.get("state", {"kind": "spin_coherent", "two_s": p.two_s,
-                                            "theta": 0.0, "phi": 0.0}))
-        grid = spin_moyal.sphere_grid(
-            p,
-            int(params["n_theta"]) if "n_theta" in params else None,
-            int(params["n_phi"]) if "n_phi" in params else None,
-        )
+        rows = [f"{_fmt(x)},{_fmt(mu)},{_fmt(nu)},{_fmt(wi)}" for x, wi in zip(x_nodes, w)]
+    else:  # symbols
+        p, grid = _spin_grid(params)
+        rho = _state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
         samples = spin_moyal.spin_symbols(p, rho, grid)
         header = "theta,phi,weight,symbol_re,symbol_im"
         ig = grid.to_index_grid(p)
-        for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values):
-            rows.append(
-                f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
-            )
-    else:
-        raise ConfigError(f"emit kind {kind!r} is not supported for system {name!r}")
+        rows = [
+            f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
+            for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)
+        ]
     with open(out_path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
     return 0
-
-
-def _emit_params_ok(doc: dict, kind: str):
-    params = doc["params"]
-    if doc["system"] == "symplectic":
-        _require_keys(params, {"d", "delta_ladder", "L", "n_mn", "mu", "nu", "n_X"},
-                      {"d"}, "params")
 
 
 def main(argv=None) -> int:
@@ -324,8 +316,7 @@ def main(argv=None) -> int:
     parser.add_argument("--system", choices=SYSTEMS, help="override the config system")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--tolerance", type=float, help="override the hs_error tolerance")
-    parser.add_argument("--kind", choices=("wigner", "qfunc", "marginal", "symbols"),
-                        help="distribution kind for emit")
+    parser.add_argument("--kind", choices=tuple(EMIT_SYSTEMS), help="distribution kind for emit")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -333,22 +324,18 @@ def main(argv=None) -> int:
     try:
         doc = load_config(args.config, {"system": args.system, "seed": args.seed})
         if args.tolerance is not None:
-            doc.setdefault("tolerances", {})["hs_error"] = args.tolerance
+            doc["tolerances"]["hs_error"] = args.tolerance
         if args.command == "state-make":
             return cmd_state_make(doc, args.out)
         if args.command == "tomo-run":
             return cmd_tomo_run(doc, args.out)
         if args.kind is None:
             raise ConfigError("emit requires --kind")
-        _emit_params_ok(doc, args.kind)
         return cmd_emit(doc, args.kind, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 1
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=_sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 1
 

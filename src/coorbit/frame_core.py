@@ -317,8 +317,6 @@ def _charge_sectors(sys: TomographicSystem) -> list:
     With equal integer charges, a uniform full-circle phi axis and
     phi-independent weights, the phi sum cancels every Gram entry between
     c_a - c_b sectors unequal modulo len(phis); otherwise there is one block.
-    Small blocks also keep LAPACK single-threaded, so the bounds do not
-    depend on the BLAS thread count.
     """
     n_phi = len(sys.phis)
     deltas, inv = _charge_differences(sys.analysis_family.charges)
@@ -334,6 +332,20 @@ def _charge_sectors(sys: TomographicSystem) -> list:
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
+def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Hermitian h, one connected block of its nonzero pattern at a time.
+
+    The lattice Gram couples only entries with equal (a - b) mod N; small
+    blocks keep LAPACK single-threaded and the values free of the BLAS
+    thread count.
+    """
+    # imported here: scipy.sparse is slow to import and only frame bounds need it
+    from scipy.sparse.csgraph import connected_components
+    n_blocks, labels = connected_components(h != 0, directed=False)
+    blocks = (np.flatnonzero(labels == k) for k in range(n_blocks))
+    return np.concatenate([np.linalg.eigvalsh(h[np.ix_(i, i)]) for i in blocks])
+
+
 def frame_bounds(
     sys: TomographicSystem, d: float = 2, sample_count: int = 256, seed: int = 0
 ) -> FrameReport:
@@ -341,7 +353,7 @@ def frame_bounds(
 
     For d = 2 the mixed Gram superoperator S = sum_k w_k vec(G_k) vec(F_k)^dag
     is assembled as a dim^2 x dim^2 matrix, symmetrized and diagonalized one
-    charge sector at a time; A and B are the square roots of its extreme
+    charge sector and connected block at a time; A and B are the square roots of its extreme
     eigenvalues. For d != 2 the bounds are sampled empirically over random
     unit-norm operators (estimates, not certificates).
     """
@@ -357,7 +369,7 @@ def frame_bounds(
         vs = expand_family(sys.synthesis_family, sys.phis).reshape(-1, dim * dim)
         w = sys.grid.weights[:, None]
         grams = ((vs[:, i] * w).T @ va[:, i].conj() for i in _charge_sectors(sys))
-        evals = np.concatenate([np.linalg.eigvalsh((g + g.conj().T) / 2) for g in grams])
+        evals = np.concatenate([_block_eigvalsh((g + g.conj().T) / 2) for g in grams])
         lo, hi = float(evals.min()), float(evals.max())
     else:
         rng = np.random.default_rng(seed)

@@ -69,6 +69,8 @@ def sphere_grid(p: SpinParams, n_theta: int | None = None, n_phi: int | None = N
     """Default exact grid: (2s+1) Gauss-Legendre x (4s+2) uniform nodes."""
     n_theta = n_theta if n_theta is not None else p.two_s + 1
     n_phi = n_phi if n_phi is not None else 2 * p.two_s + 2
+    if n_theta < 1 or n_phi < 1:
+        raise ValueError(f"sphere grid needs n_theta, n_phi >= 1, got {n_theta}, {n_phi}")
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x[::-1])
     weights = w[::-1].copy()

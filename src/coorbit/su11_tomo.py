@@ -185,11 +185,14 @@ def biorthogonality_check(rep: DiscreteSeriesRep, grid: SUGrid, indices) -> comp
     delta_{mq} delta_{nl}-type values as theta_max grows; indices near the
     truncation boundary are unreliable (top INTERIOR_MARGIN levels).
     """
+    return _pairing(_slice_system(rep, grid), indices)
+
+
+def _pairing(sys: TomographicSystem, indices) -> complex:
     m, n, l, q = indices
-    if max(indices) >= rep.cutoff - INTERIOR_MARGIN:
+    if max(indices) >= sys.dim - INTERIOR_MARGIN:
         raise ValueError("indices must sit at least two levels below the cutoff")
-    sys = _slice_system(rep, grid)
-    unit = np.zeros((rep.cutoff, rep.cutoff))
+    unit = np.zeros((sys.dim, sys.dim))
     unit[m, n] = 1
     return complex(synthesize(sys, analyze(sys, Operator(unit))).entries[l, q])
 
@@ -205,9 +208,9 @@ def biorthogonality_ladder(
     diag = []
     off = []
     for tm in theta_maxes:
-        grid = SUGrid(tm, n_theta, n_phi)
-        diag.append(biorthogonality_check(rep, grid, (0, 0, 0, 0)).real)
-        off.append(abs(biorthogonality_check(rep, grid, (0, 1, 0, 0))))
+        sys = _slice_system(rep, SUGrid(tm, n_theta, n_phi))
+        diag.append(_pairing(sys, (0, 0, 0, 0)).real)
+        off.append(abs(_pairing(sys, (0, 1, 0, 0))))
     return {
         "theta_max": [float(t) for t in theta_maxes],
         "diag_value": diag,

@@ -79,29 +79,21 @@ def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled_density(rho: DensityMatrix, mu: float, nu: float, y: np.ndarray) -> np.ndarray:
+    """Density of y = (mu q + nu p) / s at the nodes y, with s = hypot(mu, nu)."""
+    gamma = math.atan2(nu, mu)
+    psi = hermite_functions(rho.dim, y)
+    phases = np.exp(1j * gamma * np.arange(rho.dim))
+    amp = phases[:, None] * psi
+    return np.einsum("my,mn,ny->y", amp.conj(), rho.op.entries, amp).real
+
+
 def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> np.ndarray:
     """Probability density of mu q + nu p at the given X nodes."""
     s = math.hypot(mu, nu)
     if s < 1e-14:
         raise ValueError("(mu, nu) = (0, 0) is a degenerate direction")
-    gamma = math.atan2(nu, mu)
-    X_nodes = np.asarray(X_nodes, dtype=float)
-    psi = hermite_functions(rho.dim, X_nodes / s)
-    phases = np.exp(1j * gamma * np.arange(rho.dim))
-    amp = phases[:, None] * psi
-    dens = np.einsum("my,mn,ny->y", amp.conj(), rho.op.entries, amp).real / s
-    return dens
-
-
-def _marginal_fourier(rho, mu, nu, y, yw):
-    """integral w(X) e^{iX} dX via the scaled variable X = s y."""
-    s = math.hypot(mu, nu)
-    gamma = math.atan2(nu, mu)
-    psi = hermite_functions(rho.dim, y)
-    phases = np.exp(1j * gamma * np.arange(rho.dim))
-    amp = phases[:, None] * psi
-    dens = np.einsum("my,mn,ny->y", amp.conj(), rho.op.entries, amp).real
-    return complex(np.sum(yw * dens * np.exp(1j * s * y)))
+    return _scaled_density(rho, mu, nu, np.asarray(X_nodes, dtype=float) / s) / s
 
 
 def _quadrature_factors(d_pad: int):
@@ -146,7 +138,9 @@ def reconstruct_symplectic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace)
             if s2 < 1e-14:
                 c = complex(np.trace(rho.op.entries))
             else:
-                c = _marginal_fourier(rho, mu, nu, y, yw)
+                # integral of w(X) e^{iX} dX in the scaled variable X = s y
+                dens = _scaled_density(rho, mu, nu, y)
+                c = complex(np.sum(yw * dens * np.exp(1j * math.hypot(mu, nu) * y)))
             reg = grid.regularizer(math.sqrt(s2))
             phase = np.exp(-0.5j * mu * nu) / (2 * math.pi)
             acc += (wm * wn * reg * c * phase) * (ep_cache[j] @ eq_cache[i])

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coorbit
 from coorbit.cli import build_state, load_config, main
@@ -116,16 +121,23 @@ class TestTomoRun:
         assert main(["tomo-run", "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_byte_identical_across_blas_threads(self, tmp_path):
-        # the engine and frame_bounds go through BLAS and LAPACK; the thread
-        # count must not change a byte of the report
-        path = write_config(
-            tmp_path,
+    @pytest.mark.parametrize(
+        "doc",
+        [
             {"system": "homodyne",
              "params": {"d": 16, "R": 5.5, "n_r": 24, "n_phi": 40},
              "state": {"kind": "coherent", "d": 16, "beta_re": 0.6, "beta_im": -0.3},
              "frame_bounds": True},
-        )
+            # one phi node, so the 225 x 225 lattice Gram is split by its
+            # nonzero pattern instead of by charge sector
+            {"system": "dps", "params": {"N": 15}},
+        ],
+        ids=["homodyne", "dps"],
+    )
+    def test_byte_identical_across_blas_threads(self, tmp_path, doc):
+        # the engine and frame_bounds go through BLAS and LAPACK; the thread
+        # count must not change a byte of the report
+        path = write_config(tmp_path, doc)
         src = str(Path(coorbit.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
@@ -248,3 +260,133 @@ class TestEmit:
         assert main(["emit", "--config", path, "--out", str(tmp_path / "o"),
                      "--kind", "qfunc"]) == 1
 
+
+
+# Each malformed config names the field at fault: (command, kind, config, field).
+MALFORMED = [
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3}, "tolerances": 5}, "tolerances"),
+    ("tomo-run", None, {"system": "dps", "params": 5}, "params"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3}, "state": 5}, "state"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": None}}, "params.N"),
+    ("tomo-run", None, {"system": "symplectic", "params": {"d": 4, "delta_ladder": 5}},
+     "params.delta_ladder"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3}, "state": {"kind": "fock", "d": 3}},
+     "state.n"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3},
+                        "state": {"kind": "thermal", "d": 3}}, "state.nbar"),
+    ("state-make", None, {"system": "spin", "params": {"two_s": 2},
+                          "state": {"kind": "spin_coherent", "two_s": 2, "phi": 0.0}},
+     "state.theta"),
+    ("emit", "wigner", {"system": "dps", "params": {}}, "params.N"),
+    ("emit", "qfunc", {"system": "homodyne", "params": {"d": 4, "n_r": 4, "n_phi": 4}},
+     "params.R"),
+    ("emit", "symbols", {"system": "spin", "params": {}}, "params.two_s"),
+    ("tomo-run", None, {"system": "homodyne",
+                        "params": {"d": 4, "R": "inf", "n_r": 4, "n_phi": 4}}, "params.R"),
+    ("tomo-run", None, {"system": "symplectic", "params": {"d": 4, "delta_ladder": []}},
+     "params.delta_ladder"),
+    ("tomo-run", None, {"system": "su11",
+                        "params": {"k": 1.0, "cutoff": 6, "theta_max_ladder": []}},
+     "params.theta_max_ladder"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3}, "frame_bounds": "no"},
+     "frame_bounds"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": 2.7}}, "params.N"),
+    ("emit", "wigner", {"system": "dps", "params": {"N": 3, "bogus": 1}}, "bogus"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3},
+                        "state": {"kind": "random", "d": 3, "nbar": 1.0}}, "nbar"),
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3}, "seed": -1}, "config.seed"),
+    ("tomo-run", None, {"system": "spin", "params": {"two_s": 2, "n_phi": 0}}, "n_phi"),
+]
+
+
+def run_main(path, command, kind, out):
+    """main's return code and stderr lines; warnings raise, so none can pass silently."""
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if kind is not None:
+        argv += ["--kind", kind]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command,kind,doc,field", MALFORMED,
+                             ids=[f"{c[2]['system']}-{c[3]}" for c in MALFORMED])
+    def test_malformed_config_one_line(self, tmp_path, command, kind, doc, field):
+        rc, err = run_main(write_config(tmp_path, doc), command, kind, tmp_path / "o")
+        assert rc == 1
+        assert len(err) == 1 and field in err[0], err
+
+    def test_integer_accepted_for_float_field(self, tmp_path):
+        # a JSON integer is a finite number, and the report is the same as for 3.0
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        doc = {"system": "homodyne", "params": {"d": 4, "R": 3, "n_r": 4, "n_phi": 8},
+               "frame_bounds": False}
+        assert main(["tomo-run", "--config", write_config(tmp_path, doc), "--out", str(out1)]) == 0
+        doc["params"]["R"] = 3.0
+        assert main(["tomo-run", "--config", write_config(tmp_path, doc), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+# Small valid configs: every replacement below keeps each system tiny.
+FUZZ_BASES = [
+    ("tomo-run", None, {"system": "dps", "params": {"N": 3}, "seed": 1, "frame_bounds": True,
+                        "tolerances": {"hs_error": 1e-6, "fidelity": 0.5}}),
+    ("tomo-run", None, {"system": "spin", "params": {"two_s": 2, "n_theta": 3, "n_phi": 6},
+                        "state": {"kind": "spin_coherent", "two_s": 2, "theta": 0.5,
+                                  "phi": 1.0}}),
+    ("tomo-run", None, {"system": "homodyne", "params": {"d": 4, "R": 3.0, "n_r": 4, "n_phi": 4},
+                        "state": {"kind": "coherent", "d": 4, "beta_re": 0.2, "beta_im": 0.1}}),
+    ("tomo-run", None, {"system": "symplectic",
+                        "params": {"d": 4, "delta_ladder": [2.0], "n_mn": 6, "L": 6.0},
+                        "state": {"kind": "fock", "d": 4, "n": 1}}),
+    ("tomo-run", None, {"system": "su11", "params": {
+        "k": 1.0, "cutoff": 6, "theta_max_ladder": [2.0], "n_theta": 4, "n_phi": 4,
+        "thermal_b": 0.5}}),
+    ("emit", "wigner", {"system": "dps", "params": {"N": 3},
+                        "state": {"kind": "thermal", "d": 3, "nbar": 0.5}}),
+    ("emit", "qfunc", {"system": "homodyne", "params": {"d": 4, "R": 2.0, "n_r": 4, "n_phi": 4}}),
+    ("emit", "marginal", {"system": "symplectic",
+                          "params": {"d": 4, "mu": 1.0, "nu": 0.5, "n_X": 9}}),
+    ("emit", "symbols", {"system": "spin", "params": {"two_s": 2}}),
+    ("state-make", None, {"system": "dps", "params": {"N": 3},
+                          "state": {"kind": "random", "d": 3, "seed": 2}}),
+]
+FUZZ_VALUES = [None, "1", [], {}, True, -1, 0, 2.5, float("nan"), float("inf")]
+
+
+def _key_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+        elif isinstance(value, list):
+            yield from (prefix + (key, i) for i in range(len(value)))
+
+
+@st.composite
+def mutated_configs(draw):
+    command, kind, base = draw(st.sampled_from(FUZZ_BASES))
+    path = draw(st.sampled_from(list(_key_paths(base))))
+    doc = json.loads(json.dumps(base))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    value = draw(st.sampled_from(["drop"] + FUZZ_VALUES))
+    if value == "drop" and isinstance(node, dict):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = None if value == "drop" else value
+    return command, kind, doc
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=mutated_configs())
+def test_fuzzed_config_exits_cleanly(tmp_path_factory, case):
+    command, kind, doc = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    rc, err = run_main(write_config(tmp, doc), command, kind, tmp / "o")
+    assert rc in (0, 1, 2)
+    assert len(err) == (0 if rc == 0 else 1), err

@@ -182,6 +182,18 @@ class TestBiorthogonality:
         assert 1 - d[2] < 0.05
         assert max(report["offdiag_max"]) < 1e-8
 
+    def test_ladder_bit_equal_to_check_per_entry(self):
+        # the ladder reads both entries from one system per theta_max; the
+        # values must be exactly those of one biorthogonality_check per entry
+        for cutoff in (4, 8):
+            rep = DiscreteSeriesRep(1.0, cutoff)
+            report = biorthogonality_ladder(rep, (2.0, 3.5), n_theta=12, n_phi=6)
+            for tm, diag, off in zip(report["theta_max"], report["diag_value"],
+                                     report["offdiag_max"]):
+                grid = SUGrid(tm, 12, 6)
+                assert diag == biorthogonality_check(rep, grid, (0, 0, 0, 0)).real
+                assert off == abs(biorthogonality_check(rep, grid, (0, 1, 0, 0)))
+
 
 class TestSystem:
     def test_rejects_small_cutoff(self):
