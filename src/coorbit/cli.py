@@ -197,6 +197,15 @@ def _polar_grid(params: dict) -> cv_tomo.PolarGrid:
     return cv_tomo.PolarGrid(params["R"], params["n_r"], params["n_phi"])
 
 
+def _write(out_path: str, text: str) -> int:
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
+    return 0
+
+
 def cmd_state_make(doc: dict, out_path: str) -> int:
     if doc["state"] is None:
         raise ConfigError("state-make needs a 'state' section")
@@ -205,9 +214,7 @@ def cmd_state_make(doc: dict, out_path: str) -> int:
         "dim": rho.dim,
         "entries": [[v.real, v.imag] for v in rho.op.entries.ravel()],
     }
-    with open(out_path, "w") as fh:
-        fh.write(_json_17(payload) + "\n")
-    return 0
+    return _write(out_path, _json_17(payload))
 
 
 def _check_tolerances(report: dict, tolerances: dict):
@@ -261,9 +268,7 @@ def cmd_tomo_run(doc: dict, out_path: str) -> int:
             report["frame_A"] = fr.A
             report["frame_B"] = fr.B
     _check_tolerances(report, doc["tolerances"])
-    with open(out_path, "w") as fh:
-        fh.write(_json_17(report) + "\n")
-    return 0
+    return _write(out_path, _json_17(report))
 
 
 def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
@@ -301,9 +306,7 @@ def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
             f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
             for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)
         ]
-    with open(out_path, "w") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
-    return 0
+    return _write(out_path, "\n".join([header, *rows]))
 
 
 def main(argv=None) -> int:
@@ -324,6 +327,8 @@ def main(argv=None) -> int:
     try:
         doc = load_config(args.config, {"system": args.system, "seed": args.seed})
         if args.tolerance is not None:
+            if not _is(float, args.tolerance):
+                raise ConfigError(f"--tolerance must be a finite number, got {args.tolerance}")
             doc["tolerances"]["hs_error"] = args.tolerance
         if args.command == "state-make":
             return cmd_state_make(doc, args.out)

@@ -45,10 +45,7 @@ def shift_q(N: int, m: int) -> Operator:
     """Cyclic position shift: Q^m |n> = |n + m mod N>."""
     if N <= 0:
         raise ValueError("N must be positive")
-    mat = np.zeros((N, N), dtype=complex)
-    for n in range(N):
-        mat[(n + m) % N, n] = 1
-    return Operator(mat)
+    return Operator(np.roll(np.eye(N, dtype=complex), m, axis=0))
 
 
 def shift_v(N: int, m: int) -> Operator:
@@ -60,10 +57,7 @@ def shift_v(N: int, m: int) -> Operator:
 
 def parity(N: int) -> Operator:
     """Finite parity R |n> = |-n mod N>."""
-    mat = np.zeros((N, N), dtype=complex)
-    for n in range(N):
-        mat[(-n) % N, n] = 1
-    return Operator(mat)
+    return Operator(np.eye(N, dtype=complex)[-np.arange(N) % N])
 
 
 def displacement_discrete(N: int, q: int, p: int) -> Operator:
@@ -96,16 +90,23 @@ def point_operator(N: int, q: int, p: int, route: str = "parity") -> Operator:
     raise ValueError(f"unknown route {route!r}")
 
 
-def discrete_wigner(rho: DensityMatrix, N: int) -> np.ndarray:
-    """Discrete Wigner function W(q, p) = Tr(A(q, p) rho) on the 2N lattice."""
+def _point_values(rho: DensityMatrix, N: int, n: int):
+    """Tr(A(q, p) rho) and e^{i pi p q / N} (exact integer angles) for 0 <= q, p < n.
+
+    A(q, p) maps |m> to e^{i pi p q / N} e^{-2 pi i p m / N} |q - m> / 2N, so
+    Tr(A rho) = (e^{i pi p q / N} / 2N) FFT_m rho[m, q - m] at frequency p mod N.
+    """
     if rho.dim != N:
         raise ValueError(f"dimension mismatch: state {rho.dim}, lattice {N}")
-    w = np.empty((2 * N, 2 * N))
-    for q in range(2 * N):
-        for p in range(2 * N):
-            val = np.trace(point_operator(N, q, p).entries @ rho.op.entries)
-            w[q, p] = val.real
-    return w
+    m, k = np.arange(N), np.arange(n)
+    phases = np.exp(1j * math.pi * (np.multiply.outer(k, k) % (2 * N)) / N)
+    lines = np.fft.fft(rho.op.entries[m, np.subtract.outer(k, m) % N], axis=1)
+    return phases * lines[:, k % N] / (2 * N), phases
+
+
+def discrete_wigner(rho: DensityMatrix, N: int) -> np.ndarray:
+    """Discrete Wigner function W(q, p) = Tr(A(q, p) rho) on the 2N lattice."""
+    return _point_values(rho, N, 2 * N)[0].real
 
 
 def reconstruct_displacement(rho: DensityMatrix, N: int) -> Operator:
@@ -114,15 +115,16 @@ def reconstruct_displacement(rho: DensityMatrix, N: int) -> Operator:
 
 
 def reconstruct_point(rho: DensityMatrix, N: int) -> Operator:
-    """rho = 4N sum_{G_N} Tr(rho A(q,p)) A(q,p)."""
-    if rho.dim != N:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, lattice {N}")
-    acc = np.zeros((N, N), dtype=complex)
-    for q in range(N):
-        for p in range(N):
-            a = point_operator(N, q, p).entries
-            acc += np.trace(rho.op.entries @ a) * a
-    return Operator(4 * N * acc)
+    """rho = 4N sum_{G_N} Tr(rho A(q,p)) A(q,p).
+
+    Entry (q - m, m) collects only the points on line q:
+    2 sum_p Tr(rho A(q, p)) e^{i pi p q / N} e^{-2 pi i p m / N}, an FFT over p.
+    """
+    w, phases = _point_values(rho, N, N)
+    m = np.arange(N)
+    out = np.empty((N, N), dtype=complex)
+    out[np.subtract.outer(m, m) % N, m] = 2 * np.fft.fft(w * phases, axis=1)
+    return Operator(out)
 
 
 def heisenberg_finite_system(N: int) -> TomographicSystem:

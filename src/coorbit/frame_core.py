@@ -94,8 +94,8 @@ class FrameReport:
     admissibility: complex
 
     def __post_init__(self):
-        if not (0 < self.A <= self.B):
-            raise ValueError(f"frame bounds must satisfy 0 < A <= B, got {self.A}, {self.B}")
+        if not 0 <= self.A <= self.B < math.inf:
+            raise ValueError(f"frame bounds need 0 <= A <= B < inf, got {self.A}, {self.B}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ class RegularizerSpec:
         if self.kind != "gaussian":
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
 
-    def __call__(self, x: float) -> float:
-        return math.exp(-x * x / (2 * self.delta**2))
+    def __call__(self, x):
+        return np.exp(-x * x / (2 * self.delta**2))
 
 
 class SliceFamily(NamedTuple):

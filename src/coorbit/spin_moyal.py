@@ -134,12 +134,8 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
 
 def _angular_momentum(p: SpinParams):
     """Jx, Jy matrices in the m = s..-s ordering."""
-    s = p.s
-    dim = p.dim
-    jp = np.zeros((dim, dim))
-    for i in range(1, dim):
-        m = s - i  # J+ raises m: |m> -> |m+1>, i.e. index i -> i-1
-        jp[i - 1, i] = math.sqrt(s * (s + 1) - m * (m + 1))
+    m = p.s - np.arange(1, p.dim)  # J+ raises m: |m> -> |m+1>, i.e. index i -> i-1
+    jp = np.diag(np.sqrt(p.s * (p.s + 1) - m * (m + 1)), 1)
     jm = jp.T
     jx = (jp + jm) / 2
     jy = (jp - jm) / (2j)
@@ -191,17 +187,8 @@ def kernel_dual(p: SpinParams, theta: float, phi: float) -> Operator:
 
 def tracial_overlap(p: SpinParams, theta: float) -> float:
     """Overlap Tr[Delta_{n_z} Delta^n] = sum_l (2l+1)/(2s+1) P_l(cos theta)."""
-    x = math.cos(theta)
-    total = 0.0
-    p_prev, p_curr = 0.0, 1.0  # P_{-1} (unused), P_0
-    for l in range(p.two_s + 1):
-        if l == 1:
-            p_prev, p_curr = p_curr, x
-        elif l >= 2:
-            p_next = ((2 * l - 1) * x * p_curr - (l - 1) * p_prev) / l
-            p_prev, p_curr = p_curr, p_next
-        total += (2 * l + 1) / (p.two_s + 1) * p_curr
-    return total
+    coefficients = (2 * np.arange(p.two_s + 1) + 1) / (p.two_s + 1)
+    return float(np.polynomial.legendre.legval(math.cos(theta), coefficients))
 
 
 def moyal_system(

@@ -7,8 +7,8 @@ family pi is the hyperbolically rotated Kz. Both are evaluated through
 closed forms that are exact entrywise at truncation:
 
 * the group exponential E = exp(xi K+ - conj(xi) K-) via the disentangled
-  triangular product e^{zeta K+} (1-|zeta|^2)^{Kz} e^{-conj(zeta) K-} with
-  zeta = tanh(theta) e^{i(phi+pi)};
+  triangular product e^{zeta K+} sech(theta)^{2 Kz} e^{-conj(zeta) K-} with
+  zeta = tanh(theta) e^{i(phi+pi)}, using 1 - |zeta|^2 = sech(theta)^2;
 * pi(theta, phi) = cosh(theta) Kz
   + (i/2) sinh(theta) (-e^{-i phi} K+ + e^{i phi} K-).
 
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_core import IndexGrid, SliceFamily, TomographicSystem, analyze, synthesize
-from .frame_core import singular_admissibility, slice_major_grid
+from .frame_core import IndexGrid, SliceFamily, TomographicSystem, analyze
+from .frame_core import singular_admissibility, slice_major_grid, synthesize
 from .opalg import DensityMatrix, Operator
 
 INTERIOR_MARGIN = 2  # top levels excluded from algebra assertions
@@ -50,10 +50,8 @@ class DiscreteSeriesRep:
 
 
 def _kplus(k: float, d: int) -> np.ndarray:
-    m = np.zeros((d, d))
-    for r in range(d - 1):
-        m[r + 1, r] = math.sqrt((r + 1) * (r + 2 * k))
-    return m
+    r = np.arange(d - 1)
+    return np.diag(np.sqrt((r + 1) * (r + 2 * k)), -1)
 
 
 def generators(rep: DiscreteSeriesRep):
@@ -75,30 +73,40 @@ def casimir_scalar(rep: DiscreteSeriesRep) -> float:
     return float(interior.mean())
 
 
+def _slices(rep: DiscreteSeriesRep, theta):
+    """E, B and pi at phi = 0 for every theta, as (len(theta), d, d) stacks.
+
+    E = L(-t) diag(sech(theta)^(2(r + k))) L(t)^T with t = tanh(theta) and
+    L(x) = exp(x K+). K+ is nilpotent with a single subdiagonal, so
+    L(x)[a, b] = x^(a - b) exp(K+)[a, b] exactly, and exp(K+) is its finite
+    power series. sech^2 replaces 1 - tanh^2, which cancels at large theta.
+    """
+    d, kp = rep.cutoff, _kplus(rep.k, rep.cutoff)
+    exp_kp = term = np.eye(d)
+    for j in range(1, d):
+        term = term @ kp / j
+        exp_kp = exp_kp + term
+    theta = np.asarray(theta, dtype=float)[:, None, None]
+    m = np.arange(d)
+    lower, t = np.maximum(np.subtract.outer(m, m), 0), np.tanh(theta)
+    mid = np.cosh(theta) ** (-2 * (m + rep.k))
+    e = ((-t) ** lower * exp_kp * mid) @ np.swapaxes(t**lower * exp_kp, 1, 2)
+    b = (m[:, None] + m + 2 * rep.k) * ((-1.0) ** m)[:, None] * e
+    return e, b, np.cosh(theta) * np.diag(m + rep.k) + 0.5j * np.sinh(theta) * (kp.T - kp)
+
+
+def _at_phi(slices: np.ndarray, charges, phi: float) -> Operator:
+    """The single slice conjugated by diag(e^{i phi charges})."""
+    return Operator(np.exp(1j * phi * np.subtract.outer(charges, charges)) * slices[0])
+
+
 def group_element(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
     """E = exp(theta (e^{-i phi} K- - e^{i phi} K+)), exact at truncation.
 
     Disentangled as a lower-triangular x diagonal x upper-triangular
     product, so every retained matrix element involves only retained levels.
     """
-    d = rep.cutoff
-    if theta == 0:
-        return Operator(np.eye(d))
-    zeta = -math.tanh(theta) * np.exp(1j * phi)
-    kp = _kplus(rep.k, d).astype(complex)
-
-    def tri_exp(m):
-        out = np.eye(d, dtype=complex)
-        term = np.eye(d, dtype=complex)
-        for j in range(1, d):
-            term = term @ m / j
-            if not np.abs(term).max() > 0:
-                break
-            out += term
-        return out
-
-    mid = np.diag((1 - abs(zeta) ** 2) ** (np.arange(d) + rep.k)).astype(complex)
-    return Operator(tri_exp(zeta * kp) @ mid @ tri_exp(-np.conj(zeta) * kp.T))
+    return _at_phi(_slices(rep, [theta])[0], np.arange(rep.cutoff), phi)
 
 
 def analysis_B(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
@@ -109,11 +117,7 @@ def analysis_B(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
     the lowest weight ((-1)^(Kz - k)) so the diagonal biorthogonality
     integrals converge to +1.
     """
-    e = group_element(rep, theta, phi).entries
-    m = np.arange(rep.cutoff)
-    signed = ((-1.0) ** m)[:, None] * e
-    fac = m[:, None] + m[None, :] + 2 * rep.k
-    return Operator(fac * signed)
+    return _at_phi(_slices(rep, [theta])[1], np.arange(rep.cutoff), phi)
 
 
 def synthesis_pi(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
@@ -122,11 +126,7 @@ def synthesis_pi(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
     pi = cosh(theta) Kz + (i/2) sinh(theta) (-e^{-i phi} K+ + e^{i phi} K-);
     Hermitian by construction, reduces to Kz at theta = 0.
     """
-    kp, km, kz = (g.entries.astype(complex) for g in generators(rep))
-    mat = math.cosh(theta) * kz + 0.5j * math.sinh(theta) * (
-        -np.exp(-1j * phi) * kp + np.exp(1j * phi) * km
-    )
-    return Operator(mat)
+    return _at_phi(_slices(rep, [theta])[2], -np.arange(rep.cutoff), phi)
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,10 @@ def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     index_grid = grid.to_index_grid()
     nodes = np.array(index_grid.nodes)
     theta, phis = nodes[:: grid.n_phi, 0], nodes[: grid.n_phi, 1]
-    b = np.array([analysis_B(rep, th, 0.0).entries for th in theta])
-    pi = np.array([synthesis_pi(rep, th, 0.0).entries for th in theta])
+    _, b, pi = _slices(rep, theta)
     return TomographicSystem(
         grid=index_grid,
-        analysis_family=SliceFamily(b, np.arange(rep.cutoff)),
+        analysis_family=SliceFamily(b.astype(complex), np.arange(rep.cutoff)),
         synthesis_family=SliceFamily(pi, -np.arange(rep.cutoff)),
         phis=phis,
         vacuum=Operator(np.eye(rep.cutoff)),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cv_tomo import FockSpace, PAD, lowering, wigner_point
 from .frame_core import RegularizerSpec
-from .opalg import DensityMatrix, Operator
+from .opalg import DensityMatrix, Operator, closest_density, fidelity
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,19 @@ def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
     if n_max > 1:
         out[1] = math.sqrt(2.0) * y * out[0]
     for n in range(1, n_max - 1):
-        out[n + 1] = (math.sqrt(2.0) * y * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(
-            n + 1
-        )
+        out[n + 1] = (math.sqrt(2.0) * y * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(n + 1)
     return out
 
 
-def _scaled_density(rho: DensityMatrix, mu: float, nu: float, y: np.ndarray) -> np.ndarray:
-    """Density of y = (mu q + nu p) / s at the nodes y, with s = hypot(mu, nu)."""
-    gamma = math.atan2(nu, mu)
+def _diagonal_sums(rho: DensityMatrix, y: np.ndarray) -> np.ndarray:
+    """D_k(y), the sum of rho_mn psi_m(y) psi_n(y) over m - n = k, in rows k = 1 - d .. d - 1.
+
+    The density of (mu q + nu p) / s at y is sum_k e^{-i gamma k} D_k(y) with
+    s = hypot(mu, nu) and gamma = atan2(nu, mu).
+    """
     psi = hermite_functions(rho.dim, y)
-    phases = np.exp(1j * gamma * np.arange(rho.dim))
-    amp = phases[:, None] * psi
-    return np.einsum("my,mn,ny->y", amp.conj(), rho.op.entries, amp).real
+    terms = rho.op.entries[:, :, None] * psi[:, None] * psi[None]
+    return np.array([np.trace(terms, k) for k in range(rho.dim - 1, -rho.dim, -1)])
 
 
 def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> np.ndarray:
@@ -93,7 +93,8 @@ def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> n
     s = math.hypot(mu, nu)
     if s < 1e-14:
         raise ValueError("(mu, nu) = (0, 0) is a degenerate direction")
-    return _scaled_density(rho, mu, nu, np.asarray(X_nodes, dtype=float) / s) / s
+    phases = np.exp(-1j * math.atan2(nu, mu) * np.arange(1 - rho.dim, rho.dim))
+    return (phases @ _diagonal_sums(rho, np.asarray(X_nodes, dtype=float) / s)).real / s
 
 
 def _quadrature_factors(d_pad: int):
@@ -105,14 +106,46 @@ def _quadrature_factors(d_pad: int):
     return (wq, vq), (wp, vp)
 
 
+def _exp_stack(factor, ts) -> np.ndarray:
+    """e^{-i t X} = v diag(e^{-i t w}) v^dag for every t, with factor = (w, v) of X."""
+    w, v = factor
+    return (v * np.exp(-1j * np.multiply.outer(ts, w))[:, None, :]) @ v.conj().T
+
+
 def kernel_K(f: FockSpace, X: float, mu: float, nu: float) -> Operator:
     """Kernel operator (1/2pi) e^{iX} e^{-i mu nu / 2} e^{-i nu p} e^{-i mu q}."""
-    dp = f.d + PAD
-    (wq, vq), (wp, vp) = _quadrature_factors(dp)
-    eq = (vq * np.exp(-1j * mu * wq)) @ vq.conj().T
-    ep = (vp * np.exp(-1j * nu * wp)) @ vp.conj().T
+    qf, pf = _quadrature_factors(f.d + PAD)
+    eq, ep = _exp_stack(qf, [mu])[0], _exp_stack(pf, [nu])[0]
     mat = (np.exp(1j * X - 0.5j * mu * nu) / (2 * math.pi)) * (ep @ eq)
     return Operator(mat[: f.d, : f.d])
+
+
+def _reconstructions(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace, regularizers):
+    """One reconstruction per regularizer, sharing the coefficients and the kernel factors.
+
+    In the scaled variable X = s y the direction (mu_i, nu_j) has coefficient
+    c = sum_k e^{-i gamma k} sum_y w_y e^{i s y} D_k(y): one product over
+    every distinct s. The s = 0 node keeps the exact value Tr(rho). The kernel sum
+    over directions is factored as sum_j ep_j (sum_i coef_ij reg(s_ij) eq_i)
+    on the low d x d block.
+    """
+    d, (y, yw), (mus, mws) = rho.dim, grid.X_quadrature, grid.mn_quadrature
+    mu, nu = np.meshgrid(mus, mus, indexing="ij")
+    s2 = mu * mu + nu * nu
+    # ~n_mn^2 / 8 distinct s (symmetric nodes); einsum: OpenBLAS threads this thin product
+    s_values, s_index = np.unique(np.hypot(mu, nu), return_inverse=True)
+    e_isy = yw[:, None] * np.exp(1j * np.multiply.outer(y, s_values))
+    h = np.einsum("ky,ys->ks", _diagonal_sums(rho, y), e_isy)[:, s_index.ravel()]
+    phases = np.exp(-1j * np.multiply.outer(np.arange(1 - d, d), np.arctan2(nu, mu).ravel()))
+    c = np.sum(phases * h, axis=0).reshape(s2.shape)
+    c[s2 < 1e-14] = np.trace(rho.op.entries)
+    coef = np.outer(mws, mws) * c * np.exp(-0.5j * mu * nu) / (2 * math.pi)
+    n, dp = len(mus), f.d + PAD
+    qf, pf = _quadrature_factors(dp)
+    eq = _exp_stack(qf, mus)[:, :, : f.d].reshape(n, dp * f.d)
+    ep = _exp_stack(pf, mus)[:, : f.d].transpose(1, 0, 2).reshape(f.d, n * dp)
+    regs = [coef * reg(np.sqrt(s2)) for reg in regularizers]
+    return [Operator(ep @ (r.T @ eq).reshape(n * dp, f.d)) for r in regs]
 
 
 def reconstruct_symplectic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace) -> Operator:
@@ -122,44 +155,18 @@ def reconstruct_symplectic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace)
     (mu, nu) node; the remaining double quadrature applies the kernel with
     the Gaussian damping of the grid's regularizer.
     """
-    dp = f.d + PAD
-    (wq, vq), (wp, vp) = _quadrature_factors(dp)
-    # The X quadrature is applied in the scaled variable y = X / s for each
-    # direction (exact change of variables), so one grid covers the support
-    # of every rescaled marginal.
-    y, yw = grid.X_quadrature
-    mus, mws = grid.mn_quadrature
-    eq_cache = [(vq * np.exp(-1j * mu * wq)) @ vq.conj().T for mu in mus]
-    ep_cache = [(vp * np.exp(-1j * nu * wp)) @ vp.conj().T for nu in mus]
-    acc = np.zeros((dp, dp), dtype=complex)
-    for i, (mu, wm) in enumerate(zip(mus, mws)):
-        for j, (nu, wn) in enumerate(zip(mus, mws)):
-            s2 = mu * mu + nu * nu
-            if s2 < 1e-14:
-                c = complex(np.trace(rho.op.entries))
-            else:
-                # integral of w(X) e^{iX} dX in the scaled variable X = s y
-                dens = _scaled_density(rho, mu, nu, y)
-                c = complex(np.sum(yw * dens * np.exp(1j * math.hypot(mu, nu) * y)))
-            reg = grid.regularizer(math.sqrt(s2))
-            phase = np.exp(-0.5j * mu * nu) / (2 * math.pi)
-            acc += (wm * wn * reg * c * phase) * (ep_cache[j] @ eq_cache[i])
-    return Operator(acc[: f.d, : f.d])
+    return _reconstructions(rho, grid, f, [grid.regularizer])[0]
 
 
 def delta_ladder(rho: DensityMatrix, f: FockSpace, deltas, L: float = 8.0, n_mn: int = 60):
     """Reconstruction report over a ladder of regularizer widths.
 
     Returns {"delta_ladder": [...], "fidelity": [...]} where fidelity is
-    measured against the input state.
+    measured against the input state. Only the regularizer changes with delta.
     """
-    from .opalg import closest_density, fidelity
-
-    fids = []
-    for delta in deltas:
-        grid = MarginalGrid(6.5, 81, L, n_mn, RegularizerSpec(delta))
-        rec = reconstruct_symplectic(rho, grid, f)
-        fids.append(fidelity(rho, closest_density(rec)))
+    grids = [MarginalGrid(6.5, 81, L, n_mn, RegularizerSpec(delta)) for delta in deltas]
+    recs = _reconstructions(rho, grids[0], f, [g.regularizer for g in grids]) if grids else []
+    fids = [fidelity(rho, closest_density(rec)) for rec in recs]
     return {"delta_ladder": [float(d) for d in deltas], "fidelity": fids}
 
 

@@ -1,0 +1,104 @@
+"""Per-node loops of the solvers outside the engine (test oracles).
+
+``symplectic_tomo``, ``discrete_ps`` and ``su11_tomo`` evaluate their
+operators in closed form over whole grids. This module keeps the earlier
+evaluation, one node at a time: the symplectic double sum over directions,
+the lattice Wigner function and point reconstruction through 2N x 2N point
+operators, and the SU(1,1) group element through truncated power series of
+the ladder operators.
+"""
+
+import math
+
+import numpy as np
+
+from coorbit.cv_tomo import PAD
+from coorbit.discrete_ps import point_operator
+from coorbit.su11_tomo import _kplus, generators
+from coorbit.symplectic_tomo import _quadrature_factors, hermite_functions
+
+
+def _scaled_density(rho, mu, nu, y):
+    """Density of (mu q + nu p) / s at the nodes y, from the phased Hermite functions."""
+    phases = np.exp(1j * math.atan2(nu, mu) * np.arange(rho.dim))
+    amp = phases[:, None] * hermite_functions(rho.dim, y)
+    return np.einsum("my,mn,ny->y", amp.conj(), rho.op.entries, amp).real
+
+
+def reconstruct_symplectic(rho, grid, f):
+    """sum over (mu_i, nu_j) of the weighted coefficient times e^{-i nu p} e^{-i mu q}."""
+    dp = f.d + PAD
+    (wq, vq), (wp, vp) = _quadrature_factors(dp)
+    y, yw = grid.X_quadrature
+    mus, mws = grid.mn_quadrature
+    eq_cache = [(vq * np.exp(-1j * mu * wq)) @ vq.conj().T for mu in mus]
+    ep_cache = [(vp * np.exp(-1j * nu * wp)) @ vp.conj().T for nu in mus]
+    acc = np.zeros((dp, dp), dtype=complex)
+    for i, (mu, wm) in enumerate(zip(mus, mws)):
+        for j, (nu, wn) in enumerate(zip(mus, mws)):
+            s2 = mu * mu + nu * nu
+            if s2 < 1e-14:
+                c = complex(np.trace(rho.op.entries))
+            else:
+                dens = _scaled_density(rho, mu, nu, y)
+                c = complex(np.sum(yw * dens * np.exp(1j * math.hypot(mu, nu) * y)))
+            reg = grid.regularizer(math.sqrt(s2))
+            phase = np.exp(-0.5j * mu * nu) / (2 * math.pi)
+            acc += (wm * wn * reg * c * phase) * (ep_cache[j] @ eq_cache[i])
+    return acc[: f.d, : f.d]
+
+
+def discrete_wigner(rho, N):
+    """W(q, p) = Tr(A(q, p) rho) on the 2N x 2N lattice, one point operator at a time."""
+    w = np.empty((2 * N, 2 * N))
+    for q in range(2 * N):
+        for p in range(2 * N):
+            w[q, p] = np.trace(point_operator(N, q, p).entries @ rho.op.entries).real
+    return w
+
+
+def reconstruct_point(rho, N):
+    """4N sum over G_N of Tr(rho A(q, p)) A(q, p)."""
+    acc = np.zeros((N, N), dtype=complex)
+    for q in range(N):
+        for p in range(N):
+            a = point_operator(N, q, p).entries
+            acc += np.trace(rho.op.entries @ a) * a
+    return 4 * N * acc
+
+
+def group_element(rep, theta, phi):
+    """e^{zeta K+} (1 - |zeta|^2)^{Kz} e^{-conj(zeta) K-}, zeta = -tanh(theta) e^{i phi}."""
+    d = rep.cutoff
+    if theta == 0:
+        return np.eye(d, dtype=complex)
+    zeta = -math.tanh(theta) * np.exp(1j * phi)
+    kp = _kplus(rep.k, d).astype(complex)
+
+    def tri_exp(m):
+        out = np.eye(d, dtype=complex)
+        term = np.eye(d, dtype=complex)
+        for j in range(1, d):
+            term = term @ m / j
+            if not np.abs(term).max() > 0:
+                break
+            out += term
+        return out
+
+    mid = np.diag((1 - abs(zeta) ** 2) ** (np.arange(d) + rep.k)).astype(complex)
+    return tri_exp(zeta * kp) @ mid @ tri_exp(-np.conj(zeta) * kp.T)
+
+
+def analysis_B(rep, theta, phi):
+    """B[m, n] = (m + n + 2k) (-1)^m E[m, n]."""
+    m = np.arange(rep.cutoff)
+    fac = m[:, None] + m[None, :] + 2 * rep.k
+    return fac * ((-1.0) ** m)[:, None] * group_element(rep, theta, phi)
+
+
+def synthesis_pi(rep, theta, phi):
+    """cosh(theta) Kz + (i/2) sinh(theta) (-e^{-i phi} K+ + e^{i phi} K-)."""
+    kp, km, kz = (g.entries.astype(complex) for g in generators(rep))
+    return math.cosh(theta) * kz + 0.5j * math.sinh(theta) * (
+        -np.exp(-1j * phi) * kp + np.exp(1j * phi) * km
+    )

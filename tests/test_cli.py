@@ -122,21 +122,27 @@ class TestTomoRun:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, field",
         [
-            {"system": "homodyne",
-             "params": {"d": 16, "R": 5.5, "n_r": 24, "n_phi": 40},
-             "state": {"kind": "coherent", "d": 16, "beta_re": 0.6, "beta_im": -0.3},
-             "frame_bounds": True},
+            ({"system": "homodyne",
+              "params": {"d": 16, "R": 5.5, "n_r": 24, "n_phi": 40},
+              "state": {"kind": "coherent", "d": 16, "beta_re": 0.6, "beta_im": -0.3},
+              "frame_bounds": True}, "frame_A"),
             # one phi node, so the 225 x 225 lattice Gram is split by its
             # nonzero pattern instead of by charge sector
-            {"system": "dps", "params": {"N": 15}},
+            ({"system": "dps", "params": {"N": 15}}, "frame_A"),
+            # GEMMs over every direction and every theta node
+            ({"system": "symplectic", "params": {"d": 10, "delta_ladder": [4.0], "n_mn": 30}},
+             "ladder"),
+            ({"system": "su11", "params": {"k": 1.0, "cutoff": 10, "theta_max_ladder": [6.0],
+                                           "n_theta": 40, "n_phi": 8}},
+             "thermal_admissibility"),
         ],
-        ids=["homodyne", "dps"],
+        ids=["homodyne", "dps", "symplectic", "su11"],
     )
-    def test_byte_identical_across_blas_threads(self, tmp_path, doc):
-        # the engine and frame_bounds go through BLAS and LAPACK; the thread
-        # count must not change a byte of the report
+    def test_byte_identical_across_blas_threads(self, tmp_path, doc, field):
+        # the engine, frame_bounds and the solvers go through BLAS and LAPACK;
+        # the thread count must not change a byte of the report
         path = write_config(tmp_path, doc)
         src = str(Path(coorbit.__file__).resolve().parents[1])
         outputs = []
@@ -151,7 +157,7 @@ class TestTomoRun:
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
-        assert "frame_A" in json.loads(outputs[0])
+        assert field in json.loads(outputs[0])
         assert outputs[0] == outputs[1]
 
     def test_tolerance_failure_exit_2(self, tmp_path, capsys):
@@ -177,6 +183,40 @@ class TestTomoRun:
                   "--tolerance", "1e-12"])
             == 2
         )
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, value):
+        # the config fails at 1e-12; a non-finite override must not switch the check off
+        path = write_config(
+            tmp_path,
+            {"system": "homodyne",
+             "params": {"d": 8, "R": 2.0, "n_r": 8, "n_phi": 8},
+             "frame_bounds": False},
+        )
+        out = tmp_path / "o"
+        assert main(["tomo-run", "--config", path, "--out", str(out), "--tolerance", value]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--tolerance must be a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command",
+                             [["state-make"], ["tomo-run"], ["emit", "--kind", "wigner"]])
+    def test_unwritable_out_exit_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"system": "dps", "params": {"N": 3},
+                                       "state": {"kind": "fock", "d": 3, "n": 0}})
+        out = tmp_path / "absent" / "o.json"
+        assert main([command[0], "--config", path, "--out", str(out), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: cannot write --out:")
+
+    def test_zero_lower_frame_bound_reported(self, tmp_path):
+        # an under-resolved but valid grid: A = 0 is a result, not a config error
+        path = write_config(tmp_path, {"system": "homodyne",
+                                       "params": {"d": 4, "R": 2.5, "n_r": 4, "n_phi": 4}})
+        out = tmp_path / "o.json"
+        assert main(["tomo-run", "--config", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["frame_A"] == 0.0 and report["frame_B"] > 0
 
     def test_symplectic_ladder_report(self, tmp_path):
         path = write_config(

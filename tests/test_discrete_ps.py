@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import loop_reference
+from coorbit import discrete_ps
 from coorbit.discrete_ps import (
     FiniteLattice,
     discrete_wigner,
@@ -169,6 +171,13 @@ class TestDiscreteWigner:
         with pytest.raises(ValueError):
             discrete_wigner(rho, 3)
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_point_operator_loop(self, n, monkeypatch):
+        rho = random_density(np.random.default_rng(20 + n), n)
+        want = loop_reference.discrete_wigner(rho, n)
+        monkeypatch.setattr(discrete_ps, "point_operator", None)  # the FFT path needs none
+        assert np.abs(discrete_wigner(rho, n) - want).max() <= 1e-13
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("n", range(2, 9))
@@ -184,6 +193,12 @@ class TestReconstruction:
         rho = random_density(rng, n)
         rec = reconstruct_point(rho, n)
         assert np.abs(rec.entries - rho.op.entries).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16])
+    def test_point_route_matches_point_operator_sum(self, n):
+        rho = random_density(np.random.default_rng(40 + n), n)
+        got = reconstruct_point(rho, n).entries
+        assert np.abs(got - loop_reference.reconstruct_point(rho, n)).max() <= 1e-13
 
     def test_reconstruction_idempotent(self):
         rng = np.random.default_rng(2)

@@ -255,6 +255,16 @@ class TestFrameBounds:
         report = frame_bounds(heisenberg_finite_system(2), d=4, sample_count=32)
         assert 0 < report.A <= report.B
 
+    def test_report_accepts_zero_lower_bound(self):
+        # an under-resolved grid has A = 0; that is a value to report
+        assert frame_core.FrameReport(0.0, 1.5, -0.1, 2.25, 1 + 0j).A == 0.0
+
+    @pytest.mark.parametrize("a, b", [(-0.1, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                      (0.5, math.nan), (0.5, math.inf)])
+    def test_report_rejects_invalid_bounds(self, a, b):
+        with pytest.raises(ValueError):
+            frame_core.FrameReport(a, b, 0.0, 1.0, 1 + 0j)
+
 
 class TestRegularizer:
     def test_unit_at_zero(self):

@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import loop_reference
+from coorbit import su11_tomo
 from coorbit.opalg import DensityMatrix, Operator
 from coorbit.su11_tomo import (
     INTERIOR_MARGIN,
@@ -128,6 +131,64 @@ class TestFamilies:
         ).max()
         assert residual < 1e-12
         assert coeffs[0][0].real == pytest.approx(math.cosh(theta), abs=1e-12)
+
+
+def _theta_nodes(theta_max, n_theta):
+    return np.array(SUGrid(theta_max, n_theta, 1).to_index_grid().nodes)[:, 0]
+
+
+def _exact_analysis(rep, theta, digits=40):
+    """B(theta, 0) from the disentangled product in mpmath at the given precision."""
+    with mpmath.workdps(digits):
+        k, th = mpmath.mpf(rep.k), mpmath.mpf(float(theta))
+        t, s = mpmath.tanh(th), mpmath.sech(th) ** 2
+        g = [mpmath.sqrt((r + 1) * (r + 2 * k)) for r in range(rep.cutoff)]
+
+        def exp_kplus(a, b):
+            return mpmath.fprod(g[b:a]) / mpmath.factorial(a - b)
+
+        def entry(m, n):
+            e = mpmath.fsum((-t) ** (m - j) * exp_kplus(m, j) * s ** (j + k) * t ** (n - j)
+                            * exp_kplus(n, j) for j in range(min(m, n) + 1))
+            return float((m + n + 2 * k) * (-1) ** m * e)
+
+        return np.array([[entry(m, n) for n in range(rep.cutoff)] for m in range(rep.cutoff)])
+
+
+class TestBatchedSlices:
+    @pytest.mark.parametrize("cutoff, theta_max", [(6, 3.0), (8, 6.0), (10, 2.0), (10, 6.0)])
+    def test_stacks_match_per_node_loop(self, cutoff, theta_max, monkeypatch):
+        rep = DiscreteSeriesRep(1.0, cutoff)
+        monkeypatch.setattr(su11_tomo, "group_element", None)  # the system needs no node calls
+        sys = su11_system(rep, SUGrid(theta_max, 40, 8))
+        for family, per_node in ((sys.analysis_family, loop_reference.analysis_B),
+                                 (sys.synthesis_family, loop_reference.synthesis_pi)):
+            want = np.array([per_node(rep, th, 0.0) for th in _theta_nodes(theta_max, 40)])
+            assert np.abs(family.slices - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_no_less_accurate_than_per_node_loop_at_large_theta(self):
+        # Both paths sum the same alternating product, which costs digits near
+        # theta ~ 1 (about 1e-12 of the stack's largest entry either way). At
+        # large theta the per-node 1 - tanh^2 also cancels (1e-7 of the node's
+        # own scale at theta 12); sech^2 does not.
+        rep = DiscreteSeriesRep(1.0, 16)
+        theta = _theta_nodes(12.0, 24)
+        exact = np.array([_exact_analysis(rep, th) for th in theta])
+        scale = np.abs(exact).max(axis=(1, 2))
+        batched = su11_tomo._slices(rep, theta)[1]
+        per_node = np.array([loop_reference.analysis_B(rep, th, 0.0) for th in theta])
+        node_error = [np.max(np.abs(x - exact).max(axis=(1, 2)) / scale)
+                      for x in (batched, per_node)]
+        assert node_error[0] <= node_error[1]
+        assert node_error[0] <= 1e-11
+        assert np.abs(batched - exact).max() <= 1e-12 * scale.max()
+
+    def test_single_node_is_the_batched_case(self):
+        rep = DiscreteSeriesRep(1.5, 8)
+        e, b, pi = su11_tomo._slices(rep, [0.7, 1.3])
+        assert np.array_equal(group_element(rep, 1.3, 0.0).entries, e[1])
+        assert np.array_equal(analysis_B(rep, 1.3, 0.0).entries, b[1])
+        assert np.array_equal(synthesis_pi(rep, 0.7, 0.0).entries, pi[0])
 
 
 class TestGrid:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import loop_reference
+from coorbit import symplectic_tomo
 from coorbit.cv_tomo import FockSpace, coherent_state
 from coorbit.frame_core import RegularizerSpec
-from coorbit.opalg import DensityMatrix, Operator
+from coorbit.opalg import DensityMatrix, Operator, closest_density, fidelity
 from coorbit.symplectic_tomo import (
     MarginalGrid,
     delta_ladder,
@@ -167,6 +169,31 @@ class TestReconstruction:
         fids = report["fidelity"]
         assert fids[0] < fids[1] < fids[2]
         assert fids[-1] > 0.98
+
+    @pytest.mark.parametrize("n_mn", [30, 31])
+    def test_matches_direction_loop(self, n_mn):
+        # odd n_mn puts a node at s = 0, where the coefficient is Tr(rho)
+        rng = np.random.default_rng(n_mn)
+        for d in (6, 10):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = DensityMatrix(Operator(m @ m.conj().T / np.trace(m @ m.conj().T).real))
+            grid = MarginalGrid(6.5, 81, 8.0, n_mn, RegularizerSpec(4.0))
+            got = reconstruct_symplectic(rho, grid, FockSpace(d)).entries
+            want = loop_reference.reconstruct_symplectic(rho, grid, FockSpace(d))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_ladder_equals_one_reconstruction_per_delta(self, monkeypatch):
+        # the ladder evaluates the Hermite functions once and shares the coefficients
+        calls = []
+        hermite = symplectic_tomo.hermite_functions
+        monkeypatch.setattr(symplectic_tomo, "hermite_functions",
+                            lambda *a: calls.append(a) or hermite(*a))
+        rho, f = coherent_density(8, 0.3 - 0.2j), FockSpace(8)
+        report = delta_ladder(rho, f, (2.0, 6.0), L=6.0, n_mn=20)
+        assert len(calls) == 1
+        for delta, fid in zip(report["delta_ladder"], report["fidelity"]):
+            grid = MarginalGrid(6.5, 81, 6.0, 20, RegularizerSpec(delta))
+            assert fid == fidelity(rho, closest_density(reconstruct_symplectic(rho, grid, f)))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
