@@ -12,6 +12,7 @@ Q-function, and two-mode tensor systems.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +22,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, expand_family
 from .frame_core import singular_admissibility, slice_major_grid, synthesize
-from .opalg import DensityMatrix, Operator, matrix_exp
+from .opalg import DensityMatrix, Operator
 
 PAD = 16  # extra Fock levels for products that suffer truncation edge effects
 
@@ -122,31 +123,19 @@ def displacement_cv(f: FockSpace, alpha: complex) -> Operator:
 
 
 def _ordered_displacement(d: int, alpha: complex, ordering: OrderingKind) -> np.ndarray:
-    """Ordering-dependent displacement at padded dimension, cropped to d."""
-    if ordering.kind == "weyl":
-        return displacement_cv(FockSpace(d), alpha).entries
-    dp = d + PAD
-    a = lowering(dp)
-    ad = a.conj().T
-    if ordering.kind in ("normal", "antinormal"):
-        left = matrix_exp(Operator(alpha * ad)).entries
-        right = matrix_exp(Operator(-np.conj(alpha) * a)).entries
-        mat = left @ right if ordering.kind == "normal" else right @ left
-    elif ordering.kind == "husimi":
-        b = ordering.mu * a + ordering.nu * ad
-        bd = b.conj().T
-        mat = matrix_exp(Operator(alpha * bd)).entries @ matrix_exp(
-            Operator(-np.conj(alpha) * b)
-        ).entries
-    else:  # standard / antistandard: split along the quadrature pair
-        q = (a + ad) / math.sqrt(2)
-        p = (a - ad) / (1j * math.sqrt(2))
-        q0 = math.sqrt(2) * alpha.real
-        p0 = math.sqrt(2) * alpha.imag
-        eq = matrix_exp(Operator(1j * p0 * q)).entries
-        ep = matrix_exp(Operator(-1j * q0 * p)).entries
-        mat = eq @ ep if ordering.kind == "standard" else ep @ eq
-    return mat[:d, :d]
+    """Ordering-dependent displacement: a scalar times a displacement, by BCH.
+
+    normal and antinormal are e^{+-|alpha|^2/2} D(alpha), standard and
+    antistandard e^{+-i Re(alpha) Im(alpha)} D(alpha), and husimi
+    e^{|alpha|^2/2} D(mu alpha - nu conj(alpha)), exact on the retained block.
+    """
+    a = complex(alpha)
+    half, cross = abs(a) ** 2 / 2, 1j * a.real * a.imag
+    exponent = {"weyl": 0, "normal": half, "antinormal": -half, "husimi": half,
+                "standard": cross, "antistandard": -cross}[ordering.kind]
+    if ordering.kind == "husimi":
+        a = ordering.mu * a - ordering.nu * a.conjugate()
+    return cmath.exp(exponent) * displacement_cv(FockSpace(d), a).entries
 
 
 def char_function(rho: DensityMatrix, alpha: complex, ordering: OrderingKind) -> complex:
@@ -248,9 +237,8 @@ def parity_fit_report(d: int, xi_cutoff: float | None = None, n_r: int = 192, n_
 
 def displaced_parity_closed(f: FockSpace, alpha: complex) -> Operator:
     """Closed form U(alpha) = 2 D(2 alpha) P, from integral D(xi) d^2xi / pi = 2 P."""
-    dp = f.d + PAD
-    big = displacement_cv(FockSpace(dp), 2 * alpha).entries @ parity_operator(dp).entries
-    return Operator(2 * big[: f.d, : f.d])
+    parity = (-1.0) ** np.arange(f.d)  # P is diagonal, so D(2 alpha) P scales columns
+    return Operator(2 * displacement_cv(f, 2 * alpha).entries * parity)
 
 
 def wigner_point(rho: DensityMatrix, q: float, p: float) -> float:

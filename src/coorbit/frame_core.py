@@ -6,9 +6,12 @@ rebuilds O). A family is stored as its phase-0 ``slices`` (n_s, d, d) and a
 length-d ``charges`` vector: node k is slice ``k // len(phis)`` conjugated by
 diag(e^{i phi charges}) at ``phi = phis[k % len(phis)]``, the slice-major
 order of :func:`slice_major_grid`. Families without that U(1) covariance use
-``phis = [0.0]`` and one slice per node. Sampling and resummation are matrix
-products against e^{i charges x phis}; only :func:`frame_bounds` expands a
-family to one matrix per node. Instantiations supply grids, slices, charges.
+``phis = [0.0]`` and one slice per node. ``phis`` is the uniform circle
+2 pi p / len(phis), the weights do not depend on phi and charge differences
+are integers, checked when a system is built. Sampling, resummation and the
+frame-bound Gram are matrix products against the slices; only the two-mode
+builder expands a family to one matrix per node (:func:`expand_family`).
+Instantiations supply grids, slices, charges.
 """
 
 from __future__ import annotations
@@ -103,13 +106,10 @@ class RegularizerSpec:
     """Gaussian damping factor R_delta(x) = exp(-x^2 / (2 delta^2))."""
 
     delta: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("regularizer width must be positive")
-        if self.kind != "gaussian":
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
 
     def __call__(self, x):
         return np.exp(-x * x / (2 * self.delta**2))
@@ -154,7 +154,17 @@ class TomographicSystem:
                 raise ValueError(f"{name} family needs {shape} slices and {self.dim} charges")
             if not (np.all(np.isfinite(family.slices)) and np.all(np.isfinite(family.charges))):
                 raise ValueError(f"{name} family must be finite")
+            diffs = _flat_differences(family.charges)
+            if not np.array_equal(diffs, np.round(diffs)):
+                raise ValueError(f"{name} family needs integer charge differences")
             object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family))
+        n_phi = len(self.phis)
+        circle = 2 * math.pi * np.arange(n_phi) / n_phi
+        if not np.allclose(self.phis, circle, rtol=0, atol=1e-12):
+            raise ValueError("phis must be the uniform circle 2 pi p / len(phis)")
+        w = self.grid.weights.reshape(-1, n_phi)
+        if not np.all(w == w[:, :1]):
+            raise ValueError("grid weights must not depend on phi")
 
     @property
     def dim(self) -> int:
@@ -170,9 +180,14 @@ def _node_view(nodes: tuple, phis: np.ndarray, family: SliceFamily):
     return at
 
 
+def _flat_differences(charges) -> np.ndarray:
+    """c_a - c_b for each flat (a, b) entry."""
+    return np.subtract.outer(charges, charges).ravel()
+
+
 def _charge_differences(charges):
     """Distinct values of c_a - c_b, and the index of each flat (a, b) entry's value."""
-    return np.unique(np.subtract.outer(charges, charges).ravel(), return_inverse=True)
+    return np.unique(_flat_differences(charges), return_inverse=True)
 
 
 def _samples(family: SliceFamily, phis: np.ndarray, o: Operator) -> np.ndarray:
@@ -311,31 +326,11 @@ def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:
     return float(np.sum(grid.weights * np.abs(s.values) ** d) ** (1 / d))
 
 
-def _charge_sectors(sys: TomographicSystem) -> list:
-    """Groups of vec(a, b) indices that the mixed Gram matrix never couples.
-
-    With equal integer charges, a uniform full-circle phi axis and
-    phi-independent weights, the phi sum cancels every Gram entry between
-    c_a - c_b sectors unequal modulo len(phis); otherwise there is one block.
-    """
-    n_phi = len(sys.phis)
-    deltas, inv = _charge_differences(sys.analysis_family.charges)
-    w = sys.grid.weights.reshape(-1, n_phi)
-    key = (np.round(deltas).astype(int) % n_phi)[inv]
-    if not (
-        np.array_equal(sys.analysis_family.charges, sys.synthesis_family.charges)
-        and np.array_equal(deltas, np.round(deltas))
-        and np.all(w == w[:, :1])
-        and np.allclose(np.diff(sys.phis), 2 * math.pi / n_phi, rtol=0, atol=1e-12)
-    ):
-        key[:] = 0
-    return [np.flatnonzero(key == k) for k in np.unique(key)]
-
-
 def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of Hermitian h, one connected block of its nonzero pattern at a time.
 
-    The lattice Gram couples only entries with equal (a - b) mod N; small
+    The charge mask and the slices' zero pattern leave many small blocks
+    (the lattice Gram couples only entries with equal (a - b) mod N); small
     blocks keep LAPACK single-threaded and the values free of the BLAS
     thread count.
     """
@@ -353,9 +348,11 @@ def frame_bounds(
 
     For d = 2 the mixed Gram superoperator S = sum_k w_k vec(G_k) vec(F_k)^dag
     is assembled as a dim^2 x dim^2 matrix, symmetrized and diagonalized one
-    charge sector and connected block at a time; A and B are the square roots of its extreme
-    eigenvalues. For d != 2 the bounds are sampled empirically over random
-    unit-norm operators (estimates, not certificates).
+    connected block at a time; A and B are the square roots of its extreme
+    eigenvalues. On the uniform phi circle the phi sum is len(phis) times the
+    phase-0 term where the charge differences of G and F agree modulo
+    len(phis), and 0 elsewhere. For d != 2 the bounds are sampled empirically
+    over random unit-norm operators (estimates, not certificates).
     """
     dim = sys.dim
     if dim * dim > GRAM_DIM_LIMIT:
@@ -365,11 +362,14 @@ def frame_bounds(
         )
     adm = admissibility_constant(sys, sys.vacuum, sys.test_functional).constant
     if d == 2:
-        va = expand_family(sys.analysis_family, sys.phis).reshape(-1, dim * dim)
-        vs = expand_family(sys.synthesis_family, sys.phis).reshape(-1, dim * dim)
-        w = sys.grid.weights[:, None]
-        grams = ((vs[:, i] * w).T @ va[:, i].conj() for i in _charge_sectors(sys))
-        evals = np.concatenate([_block_eigvalsh((g + g.conj().T) / 2) for g in grams])
+        n_phi = len(sys.phis)
+        g, f = sys.synthesis_family, sys.analysis_family
+        w = n_phi * sys.grid.weights[::n_phi, None]
+        vg, vf = (np.reshape(fam.slices, (-1, dim * dim)) for fam in (g, f))
+        gram = (vg * w).T @ vf.conj()
+        key_g, key_f = (_flat_differences(fam.charges) % n_phi for fam in (g, f))
+        gram[key_g[:, None] != key_f[None, :]] = 0
+        evals = _block_eigvalsh((gram + gram.conj().T) / 2)
         lo, hi = float(evals.min()), float(evals.max())
     else:
         rng = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, analyze
 from .frame_core import slice_major_grid
@@ -206,8 +207,12 @@ def moyal_system(
         )
     # Rotating about z by phi conjugates both kernels by diag(e^{-i phi m}).
     charges = np.arange(p.dim) - p.s  # -m in the m = s..-s ordering
-    dual = np.array([kernel_dual(p, th, 0.0).entries for th in grid.theta_nodes])
-    direct = np.array([kernel_direct(p, th, 0.0).entries for th in grid.theta_nodes])
+    # the phi = 0 rotations of kernel_dual and kernel_direct, one expm call for all theta
+    jy = _angular_momentum(p)[1]
+    u = scipy.linalg.expm(-1j * np.asarray(grid.theta_nodes)[:, None, None] * jy)
+    dual = (u * np.array(dual_coefficients(p.two_s))) @ u.conj().transpose(0, 2, 1)
+    top = u[:, :, 0]
+    direct = top[:, :, None] * top.conj()[:, None, :]
     return TomographicSystem(
         grid=grid.to_index_grid(p),
         analysis_family=SliceFamily(dual, charges),

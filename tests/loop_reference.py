@@ -4,15 +4,17 @@
 operators in closed form over whole grids. This module keeps the earlier
 evaluation, one node at a time: the symplectic double sum over directions,
 the lattice Wigner function and point reconstruction through 2N x 2N point
-operators, and the SU(1,1) group element through truncated power series of
-the ladder operators.
+operators, the SU(1,1) group element through truncated power series of
+the ladder operators, and the ordered displacements and displaced parity
+of ``cv_tomo`` as products of padded matrices cropped to d.
 """
 
 import math
 
 import numpy as np
 
-from coorbit.cv_tomo import PAD
+from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator
+from coorbit.opalg import Operator, matrix_exp
 from coorbit.discrete_ps import point_operator
 from coorbit.su11_tomo import _kplus, generators
 from coorbit.symplectic_tomo import _quadrature_factors, hermite_functions
@@ -102,3 +104,38 @@ def synthesis_pi(rep, theta, phi):
     return math.cosh(theta) * kz + 0.5j * math.sinh(theta) * (
         -np.exp(-1j * phi) * kp + np.exp(1j * phi) * km
     )
+
+
+def ordered_displacement(d, alpha, ordering):
+    """Products of matrix exponentials at dimension d + PAD, cropped to d."""
+    if ordering.kind == "weyl":
+        return displacement_cv(FockSpace(d), alpha).entries
+    dp = d + PAD
+    a = lowering(dp)
+    ad = a.conj().T
+    if ordering.kind in ("normal", "antinormal"):
+        left = matrix_exp(Operator(alpha * ad)).entries
+        right = matrix_exp(Operator(-np.conj(alpha) * a)).entries
+        mat = left @ right if ordering.kind == "normal" else right @ left
+    elif ordering.kind == "husimi":
+        b = ordering.mu * a + ordering.nu * ad
+        bd = b.conj().T
+        mat = matrix_exp(Operator(alpha * bd)).entries @ matrix_exp(
+            Operator(-np.conj(alpha) * b)
+        ).entries
+    else:  # standard / antistandard: split along the quadrature pair
+        q = (a + ad) / math.sqrt(2)
+        p = (a - ad) / (1j * math.sqrt(2))
+        q0 = math.sqrt(2) * alpha.real
+        p0 = math.sqrt(2) * alpha.imag
+        eq = matrix_exp(Operator(1j * p0 * q)).entries
+        ep = matrix_exp(Operator(-1j * q0 * p)).entries
+        mat = eq @ ep if ordering.kind == "standard" else ep @ eq
+    return mat[:d, :d]
+
+
+def displaced_parity_closed(d, alpha):
+    """2 D(2 alpha) P as a product at dimension d + PAD, cropped to d."""
+    dp = d + PAD
+    big = displacement_cv(FockSpace(dp), 2 * alpha).entries @ parity_operator(dp).entries
+    return 2 * big[:d, :d]

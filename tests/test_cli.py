@@ -131,6 +131,7 @@ class TestTomoRun:
             # one phi node, so the 225 x 225 lattice Gram is split by its
             # nonzero pattern instead of by charge sector
             ({"system": "dps", "params": {"N": 15}}, "frame_A"),
+            ({"system": "spin", "params": {"two_s": 10}, "frame_bounds": True}, "frame_A"),
             # GEMMs over every direction and every theta node
             ({"system": "symplectic", "params": {"d": 10, "delta_ladder": [4.0], "n_mn": 30}},
              "ladder"),
@@ -138,7 +139,7 @@ class TestTomoRun:
                                            "n_theta": 40, "n_phi": 8}},
              "thermal_admissibility"),
         ],
-        ids=["homodyne", "dps", "symplectic", "su11"],
+        ids=["homodyne", "dps", "spin", "symplectic", "su11"],
     )
     def test_byte_identical_across_blas_threads(self, tmp_path, doc, field):
         # the engine, frame_bounds and the solvers go through BLAS and LAPACK;

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import loop_reference
 from coorbit.frame_core import frame_bounds, roundtrip, singular_admissibility
 from coorbit.cv_tomo import (
     FockSpace,
@@ -25,6 +26,7 @@ from coorbit.cv_tomo import (
     quadrature_operator,
     wigner_point,
 )
+from coorbit.cv_tomo import _ordered_displacement
 from coorbit.opalg import (
     DensityMatrix,
     Operator,
@@ -120,6 +122,33 @@ class TestOrderings:
         ca = char_function(rho, alpha, OrderingKind("antistandard"))
         q0, p0 = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
         assert cs == pytest.approx(ca * np.exp(-1j * q0 * p0), abs=1e-9)
+
+    @pytest.mark.parametrize("kind", OrderingKind._KINDS)
+    def test_closed_form_matches_padded_products(self, kind):
+        # the padded products converge to the BCH closed forms at small |alpha|
+        ordering = OrderingKind(kind)
+        for d in (1, 4, 10):
+            for alpha in (0.0, 0.3, -0.2 + 0.4j, 0.5j, 0.35 - 0.35j):
+                want = loop_reference.ordered_displacement(d, alpha, ordering)
+                got = _ordered_displacement(d, alpha, ordering)
+                assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", OrderingKind._KINDS)
+    @pytest.mark.parametrize("alpha", [1.5j, 1 + 1j])
+    def test_scalar_times_weyl_on_random_state(self, kind, alpha):
+        # chi_kind(alpha) = conj(c) chi_weyl(beta) for the BCH scalar c and point beta;
+        # padded products cut their sums off at d + PAD levels and miss this
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+        rho = DensityMatrix(Operator(m @ m.conj().T / np.trace(m @ m.conj().T).real))
+        ordering = OrderingKind(kind)
+        half, cross = abs(alpha) ** 2 / 2, 1j * alpha.real * alpha.imag
+        c = {"weyl": 1, "normal": math.exp(half), "antinormal": math.exp(-half),
+             "husimi": math.exp(half), "standard": np.exp(cross),
+             "antistandard": np.exp(-cross)}[kind]
+        beta = ordering.mu * alpha - ordering.nu * np.conj(alpha) if kind == "husimi" else alpha
+        want = np.conj(c) * char_function(rho, beta, OrderingKind("weyl"))
+        assert abs(char_function(rho, alpha, ordering) - want) <= 1e-12
 
     def test_weyl_at_zero_is_trace(self):
         rho = fock_state(10, 3)
@@ -234,6 +263,12 @@ class TestDisplacedParity:
     def test_quadrature_matches_scaled_parity(self):
         u0 = displaced_parity(FockSpace(10), 0.0).entries
         assert np.abs(u0 - 2 * parity_operator(10).entries).max() < 1e-7
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_closed_form_bit_equal_to_padded_product(self, d):
+        for alpha in (0.0, 0.3 + 0.2j, -1.1j, 2.0):
+            got = displaced_parity_closed(FockSpace(d), alpha).entries
+            assert np.array_equal(got, loop_reference.displaced_parity_closed(d, alpha))
 
     def test_closed_form_matches_quadrature(self):
         f = FockSpace(10)

@@ -251,6 +251,25 @@ class TestFrameBounds:
         assert report.A == pytest.approx(math.sqrt(2), abs=1e-12)
         assert report.B == pytest.approx(math.sqrt(2), abs=1e-12)
 
+    @pytest.mark.parametrize("change, message", [("phis", "uniform circle"),
+                                                 ("weights", "depend on phi"),
+                                                 ("charges", "integer charge differences")])
+    def test_system_needs_uniform_phase_circle(self, change, message):
+        # frame_bounds sums the phi axis in closed form, which holds only on the
+        # uniform circle with phi-independent weights and integer charge differences
+        p = SpinParams(1)
+        sys = moyal_system(p, sphere_grid(p))
+        n_phi = len(sys.phis)
+        if change == "phis":
+            bad = {"phis": sys.phis ** 1.1}
+        elif change == "weights":
+            w = sys.grid.weights * np.tile(1 + 0.1 * np.arange(n_phi), len(sys.grid) // n_phi)
+            bad = {"grid": IndexGrid(sys.grid.nodes, w)}
+        else:
+            bad = {"analysis_family": sys.analysis_family._replace(charges=np.array([0.0, 0.5]))}
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sys, **bad)
+
     def test_empirical_bounds_for_other_exponents(self):
         report = frame_bounds(heisenberg_finite_system(2), d=4, sample_count=32)
         assert 0 < report.A <= report.B
@@ -277,5 +296,3 @@ class TestRegularizer:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             RegularizerSpec(-1.0)
-        with pytest.raises(ValueError):
-            RegularizerSpec(1.0, kind="boxcar")

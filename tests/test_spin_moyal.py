@@ -214,6 +214,17 @@ class TestMoyalSystem:
             assert np.abs(sys.analysis(node).entries - dual).max() < 1e-12
             assert np.abs(sys.synthesis(node).entries - direct).max() < 1e-12
 
+    @pytest.mark.parametrize("two_s", [1, 2, 5, 10, 16])
+    def test_slices_bit_equal_to_kernels(self, two_s):
+        # one batched expm over theta gives the same bytes as one rotation per kernel
+        p = SpinParams(two_s)
+        grid = sphere_grid(p)
+        sys = moyal_system(p, grid)
+        dual = np.array([kernel_dual(p, th, 0.0).entries for th in grid.theta_nodes])
+        direct = np.array([kernel_direct(p, th, 0.0).entries for th in grid.theta_nodes])
+        assert sys.analysis_family.slices.tobytes() == dual.tobytes()
+        assert sys.synthesis_family.slices.tobytes() == direct.tobytes()
+
     def test_covariance_under_azimuthal_rotation(self):
         # rotating the state about z permutes the phi nodes of the symbol
         p = SpinParams(2)
