@@ -325,22 +325,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        doc = load_config(args.config, {"system": args.system, "seed": args.seed})
-        if args.tolerance is not None:
-            if not _is(float, args.tolerance):
-                raise ConfigError(f"--tolerance must be a finite number, got {args.tolerance}")
-            doc["tolerances"]["hs_error"] = args.tolerance
-        if args.command == "state-make":
-            return cmd_state_make(doc, args.out)
-        if args.command == "tomo-run":
-            return cmd_tomo_run(doc, args.out)
-        if args.kind is None:
-            raise ConfigError("emit requires --kind")
-        return cmd_emit(doc, args.kind, args.out)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            doc = load_config(args.config, {"system": args.system, "seed": args.seed})
+            if args.tolerance is not None:
+                if not _is(float, args.tolerance):
+                    raise ConfigError(f"--tolerance must be a finite number, got {args.tolerance}")
+                doc["tolerances"]["hs_error"] = args.tolerance
+            if args.command == "state-make":
+                return cmd_state_make(doc, args.out)
+            if args.command == "tomo-run":
+                return cmd_tomo_run(doc, args.out)
+            if args.kind is None:
+                raise ConfigError("emit requires --kind")
+            return cmd_emit(doc, args.kind, args.out)
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=_sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a finite value whose arithmetic overflows, as a range error
         print(f"config error: {exc}", file=_sys.stderr)
         return 1
 

@@ -63,14 +63,9 @@ class PolarGrid:
         x, w = np.polynomial.legendre.leggauss(self.n_r)
         return (x + 1) * self.R / 2, w * self.R / 2
 
-    @property
-    def angular(self):
-        return np.arange(self.n_phi) * 2 * math.pi / self.n_phi, 2 * math.pi / self.n_phi
-
     def to_index_grid(self) -> IndexGrid:
         r, rw = self.radial
-        phi, phw = self.angular
-        return slice_major_grid(r, r * rw * phw / math.pi, phi)
+        return slice_major_grid(r, r * rw * (2 * math.pi / self.n_phi) / math.pi, self.n_phi)
 
 
 @dataclass(frozen=True)
@@ -163,10 +158,8 @@ def homodyne_system(f: FockSpace, grid: PolarGrid) -> TomographicSystem:
         grid=grid.to_index_grid(),
         analysis_family=family,
         synthesis_family=family,
-        phis=grid.angular[0],
         vacuum=Operator(np.eye(f.d)),
         test_functional=Operator(np.eye(f.d)),
-        normalization=1.0,
     )
 
 
@@ -192,28 +185,21 @@ def parity_operator(d: int) -> Operator:
     return Operator(np.diag((-1.0) ** np.arange(d)).astype(complex))
 
 
-def displaced_parity(
-    f: FockSpace,
-    alpha: complex,
-    xi_cutoff: float | None = None,
-    n_r: int = 192,
-    n_phi: int = 64,
-) -> Operator:
+def displaced_parity(f: FockSpace, alpha: complex) -> Operator:
     """Complex Fourier transform of the displacement family, by quadrature.
 
     U(alpha) = integral (d^2 xi / pi) D(xi) e^{alpha conj(xi) - conj(alpha) xi}
-    on a polar xi grid, resummed by the engine over the homodyne family. Every
-    matrix element is an independent scalar integral, so no padding is
-    involved; the default radial cutoff covers the Laguerre envelope peak
+    on a 192 x 64 polar xi grid, resummed by the engine over the homodyne
+    family. Every matrix element is an independent scalar integral, so no
+    padding is involved; the radial cutoff covers the Laguerre envelope peak
     |xi|^2 ~ 2d of the highest retained level.
     Compare with :func:`parity_fit_report` for the displaced-parity closed
     form.
     """
-    if xi_cutoff is None:
-        # Laguerre oscillations of level n extend to |xi|^2 ~ 4n; cover the
-        # highest retained level plus a decay margin.
-        xi_cutoff = math.sqrt(4 * f.d + 80) + 2 * abs(alpha)
-    sys = homodyne_system(f, PolarGrid(xi_cutoff, n_r, n_phi))
+    # Laguerre oscillations of level n extend to |xi|^2 ~ 4n; cover the
+    # highest retained level plus a decay margin.
+    xi_cutoff = math.sqrt(4 * f.d + 80) + 2 * abs(alpha)
+    sys = homodyne_system(f, PolarGrid(xi_cutoff, 192, 64))
     r, ph = np.array(sys.grid.nodes).T
     xi = r * np.exp(1j * ph)
     kernel = np.exp(alpha * np.conj(xi) - np.conj(alpha) * xi)
@@ -221,14 +207,14 @@ def displaced_parity(
 
 
 @lru_cache(maxsize=None)
-def parity_fit_report(d: int, xi_cutoff: float | None = None, n_r: int = 192, n_phi: int = 64):
+def parity_fit_report(d: int):
     """Fit the quadrature transform at alpha = 0 against the parity operator.
 
     Returns (constant, residual): the least-squares scalar c minimizing
     ||U(0) - c P|| and the residual norm: a measured check of the exact
     constant 2 that :func:`displaced_parity_closed` uses.
     """
-    u0 = displaced_parity(FockSpace(d), 0.0, xi_cutoff, n_r, n_phi).entries
+    u0 = displaced_parity(FockSpace(d), 0.0).entries
     par = parity_operator(d).entries
     c = np.vdot(par, u0) / np.vdot(par, par)
     residual = float(np.linalg.norm(u0 - c * par))
@@ -296,10 +282,8 @@ def multimode_system(modes, grids) -> TomographicSystem:
         grid=grid,
         analysis_family=family,
         synthesis_family=family,
-        phis=s2.phis,
         vacuum=Operator(np.eye(d)),
         test_functional=Operator(np.eye(d)),
-        normalization=1.0,
     )
 
 

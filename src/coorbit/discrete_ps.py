@@ -66,28 +66,18 @@ def displacement_discrete(N: int, q: int, p: int) -> Operator:
     return Operator(shift_q(N, q).entries @ shift_v(N, p).entries * phase)
 
 
-def point_operator(N: int, q: int, p: int, route: str = "parity") -> Operator:
+def point_operator(N: int, q: int, p: int) -> Operator:
     """Phase-space point operator A(q, p) on the 2N x 2N lattice.
 
-    Two equivalent constructions: the Fourier sum over displacements
-    A = (1/(2N)^2) sum_{m,k} U(m,k) e^{-2 pi i (k q - m p)/(2N)}, and the
-    displaced-parity product A = (1/2N) Q^q R V^{-p} e^{i pi p q / N}.
+    The displaced-parity product A = (1/2N) Q^q R V^{-p} e^{i pi p q / N},
+    equal to the Fourier sum over displacements
+    A = (1/(2N)^2) sum_{m,k} U(m,k) e^{-2 pi i (k q - m p)/(2N)}.
     """
     if not (0 <= q <= 2 * N - 1 and 0 <= p <= 2 * N - 1):
         raise ValueError(f"lattice index ({q}, {p}) outside the 2N x 2N range")
-    if route == "parity":
-        phase = np.exp(1j * math.pi * ((p * q) % (2 * N)) / N)
-        mat = shift_q(N, q).entries @ parity(N).entries @ shift_v(N, -p).entries
-        return Operator(mat * phase / (2 * N))
-    if route == "fourier":
-        acc = np.zeros((N, N), dtype=complex)
-        for m in range(2 * N):
-            for k in range(2 * N):
-                # 2N-th roots of unity with exact integer angles
-                ang = math.pi * ((k * q - m * p) % (2 * N)) / N
-                acc += displacement_discrete(N, m, k).entries * np.exp(-1j * ang)
-        return Operator(acc / (2 * N) ** 2)
-    raise ValueError(f"unknown route {route!r}")
+    phase = np.exp(1j * math.pi * ((p * q) % (2 * N)) / N)
+    mat = shift_q(N, q).entries @ parity(N).entries @ shift_v(N, -p).entries
+    return Operator(mat * phase / (2 * N))
 
 
 def _point_values(rho: DensityMatrix, N: int, n: int):
@@ -130,7 +120,7 @@ def reconstruct_point(rho: DensityMatrix, N: int) -> Operator:
 def heisenberg_finite_system(N: int) -> TomographicSystem:
     """Displacement-family system over G_N with weights 1/N.
 
-    One slice per node (phis = [0.0]). With analysis = synthesis = U(q, p)
+    One slice per node (n_phi = 1). With analysis = synthesis = U(q, p)
     and weight 1/N per node, the family {U / sqrt(N)} is an orthonormal
     operator basis, so the round trip is a Parseval identity (frame bounds
     A = B = 1 and P = 1).
@@ -144,8 +134,6 @@ def heisenberg_finite_system(N: int) -> TomographicSystem:
         grid=IndexGrid(tuple(points), np.full(N * N, 1 / N)),
         analysis_family=family,
         synthesis_family=family,
-        phis=np.zeros(1),
         vacuum=Operator(np.eye(N)),
         test_functional=Operator(np.eye(N)),
-        normalization=1.0,
     )

@@ -3,15 +3,16 @@
 A :class:`TomographicSystem` pairs a quadrature grid with an analysis family
 F (samples ``Tr(O F_k^dag)``) and a synthesis family G (``sum_k w_k s_k G_k``
 rebuilds O). A family is stored as its phase-0 ``slices`` (n_s, d, d) and a
-length-d ``charges`` vector: node k is slice ``k // len(phis)`` conjugated by
-diag(e^{i phi charges}) at ``phi = phis[k % len(phis)]``, the slice-major
-order of :func:`slice_major_grid`. Families without that U(1) covariance use
-``phis = [0.0]`` and one slice per node. ``phis`` is the uniform circle
-2 pi p / len(phis), the weights do not depend on phi and charge differences
-are integers, checked when a system is built. Sampling, resummation and the
-frame-bound Gram are matrix products against the slices; only the two-mode
-builder expands a family to one matrix per node (:func:`expand_family`).
-Instantiations supply grids, slices, charges.
+length-d ``charges`` vector: node k is slice ``k // n_phi`` conjugated by
+diag(e^{i phi charges}) at phi = 2 pi (k % n_phi) / n_phi, the slice-major
+order of :func:`slice_major_grid`. n_phi = len(grid) / n_s is derived, so
+the circle is uniform by construction; families without that U(1) covariance
+have one slice per node (n_phi = 1). A system checks that the weights do not
+depend on phi and that charge differences are integers. Families are
+normalized (admissibility constant 1), so the round trip needs no constant.
+Sampling, resummation and the frame-bound Gram are matrix products against
+the slices; only the two-mode builder expands a family to one matrix per
+node (:func:`expand_family`). Instantiations supply grids, slices, charges.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,10 +67,15 @@ class IndexGrid:
         return gid
 
 
-def slice_major_grid(radial, radial_weights, phis) -> IndexGrid:
-    """Nodes (r_i, phi_j) with weight radial_weights[i], in r-major order."""
-    nodes = tuple((float(r), float(ph)) for r in radial for ph in phis)
-    return IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), len(phis)))
+def phase_circle(n_phi: int) -> np.ndarray:
+    """The uniform circle 2 pi p / n_phi, p = 0..n_phi-1."""
+    return np.arange(n_phi) * 2 * math.pi / n_phi
+
+
+def slice_major_grid(radial, radial_weights, n_phi: int) -> IndexGrid:
+    """Nodes (r_i, phi_j) on the phase circle with weight radial_weights[i], in r-major order."""
+    nodes = tuple((float(r), float(ph)) for r in radial for ph in phase_circle(n_phi))
+    return IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), n_phi))
 
 
 @dataclass(frozen=True)
@@ -88,13 +95,12 @@ class SampleVector:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Empirical frame bounds and admissibility for a system."""
+    """Empirical frame bounds for a system."""
 
     A: float
     B: float
     gram_spectrum_min: float
     gram_spectrum_max: float
-    admissibility: complex
 
     def __post_init__(self):
         if not 0 <= self.A <= self.B < math.inf:
@@ -126,49 +132,46 @@ class SliceFamily(NamedTuple):
 class TomographicSystem:
     """Grid plus paired analysis/synthesis operator families.
 
-    Both families hold len(grid) / len(phis) slices in the module's node
-    order. ``analysis(node)`` and ``synthesis(node)`` are read-only views
-    returning one node's Operator; the engine never calls them. ``vacuum``
-    (of dimension ``dim``) seeds the synthesis family, the ``test_functional``
-    operator L0 realizes the analysis functional through the trace pairing,
-    and ``normalization`` is the constant P dividing the round trip.
+    Both families hold n_s slices in the module's node order; ``phis`` is the
+    derived circle of len(grid) / n_s phases. ``analysis(node)`` and
+    ``synthesis(node)`` are read-only views returning one node's Operator;
+    the engine never calls them. ``vacuum`` (of dimension ``dim``) seeds the
+    synthesis family, and the ``test_functional`` operator L0 realizes the
+    analysis functional through the trace pairing.
     """
 
     grid: IndexGrid
     analysis_family: SliceFamily
     synthesis_family: SliceFamily
-    phis: np.ndarray
     vacuum: Operator
     test_functional: Operator
-    normalization: complex
 
     def __post_init__(self):
-        p = complex(self.normalization)
-        if p == 0 or not (math.isfinite(p.real) and math.isfinite(p.imag)):
-            raise ValueError("normalization constant must be nonzero and finite")
-        n_s, rest = divmod(len(self.grid), len(self.phis))
+        n_s = len(self.analysis_family.slices)
+        rest = len(self.grid) % n_s if n_s else 1
         for name in ("analysis", "synthesis"):
             family = getattr(self, f"{name}_family")
             shape = (n_s, self.dim, self.dim)
             if rest or np.shape(family.slices) != shape or np.shape(family.charges) != shape[1:2]:
-                raise ValueError(f"{name} family needs {shape} slices and {self.dim} charges")
+                raise ValueError(f"{name} family needs n_s >= 1 dividing len(grid), {shape} "
+                                 f"slices and {self.dim} charges")
             if not (np.all(np.isfinite(family.slices)) and np.all(np.isfinite(family.charges))):
                 raise ValueError(f"{name} family must be finite")
             diffs = _flat_differences(family.charges)
             if not np.array_equal(diffs, np.round(diffs)):
                 raise ValueError(f"{name} family needs integer charge differences")
             object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family))
-        n_phi = len(self.phis)
-        circle = 2 * math.pi * np.arange(n_phi) / n_phi
-        if not np.allclose(self.phis, circle, rtol=0, atol=1e-12):
-            raise ValueError("phis must be the uniform circle 2 pi p / len(phis)")
-        w = self.grid.weights.reshape(-1, n_phi)
+        w = self.grid.weights.reshape(-1, len(self.phis))
         if not np.all(w == w[:, :1]):
             raise ValueError("grid weights must not depend on phi")
 
     @property
     def dim(self) -> int:
         return self.vacuum.dim
+
+    @cached_property
+    def phis(self) -> np.ndarray:
+        return phase_circle(len(self.grid) // len(self.analysis_family.slices))
 
 
 def _node_view(nodes: tuple, phis: np.ndarray, family: SliceFamily):
@@ -246,10 +249,8 @@ def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
 
 
 def roundtrip(sys: TomographicSystem, o: Operator):
-    """synthesize(analyze(o)) / P and its Hilbert-Schmidt error against o."""
-    if abs(complex(sys.normalization)) < 1e-14:
-        raise ValueError("system is non-admissible (normalization ~ 0)")
-    rec = synthesize(sys, analyze(sys, o)) * (1 / complex(sys.normalization))
+    """synthesize(analyze(o)) and its Hilbert-Schmidt error against o."""
+    rec = synthesize(sys, analyze(sys, o))
     return rec, float(np.linalg.norm(rec.entries - o.entries))
 
 
@@ -349,9 +350,9 @@ def frame_bounds(
     For d = 2 the mixed Gram superoperator S = sum_k w_k vec(G_k) vec(F_k)^dag
     is assembled as a dim^2 x dim^2 matrix, symmetrized and diagonalized one
     connected block at a time; A and B are the square roots of its extreme
-    eigenvalues. On the uniform phi circle the phi sum is len(phis) times the
-    phase-0 term where the charge differences of G and F agree modulo
-    len(phis), and 0 elsewhere. For d != 2 the bounds are sampled empirically
+    eigenvalues. On the uniform phi circle the phi sum is n_phi times the
+    phase-0 term where the charge differences of G and F agree modulo n_phi,
+    and 0 elsewhere. For d != 2 the bounds are sampled empirically
     over random unit-norm operators (estimates, not certificates).
     """
     dim = sys.dim
@@ -360,7 +361,6 @@ def frame_bounds(
             f"dim^2 = {dim * dim} exceeds the Gram limit {GRAM_DIM_LIMIT}; "
             "use a smaller system"
         )
-    adm = admissibility_constant(sys, sys.vacuum, sys.test_functional).constant
     if d == 2:
         n_phi = len(sys.phis)
         g, f = sys.synthesis_family, sys.analysis_family
@@ -381,7 +381,7 @@ def frame_bounds(
         lo, hi = min(ratios) ** 2, max(ratios) ** 2
     a = math.sqrt(max(lo, 0.0))
     b = math.sqrt(max(hi, 0.0))
-    return FrameReport(a, b, lo, hi, adm)
+    return FrameReport(a, b, lo, hi)
 
 
 # ---------------------------------------------------------------------------

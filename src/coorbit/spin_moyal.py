@@ -56,14 +56,12 @@ class SphereGrid:
 
     theta_nodes: np.ndarray
     theta_weights: np.ndarray
-    phi_nodes: np.ndarray
-    phi_weight: float
+    n_phi: int
 
     def to_index_grid(self, p: SpinParams) -> IndexGrid:
         scale = (p.two_s + 1) / (4 * math.pi)
-        return slice_major_grid(
-            self.theta_nodes, scale * self.theta_weights * self.phi_weight, self.phi_nodes
-        )
+        weights = scale * self.theta_weights * (2 * math.pi / self.n_phi)
+        return slice_major_grid(self.theta_nodes, weights, self.n_phi)
 
 
 def sphere_grid(p: SpinParams, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
@@ -74,9 +72,7 @@ def sphere_grid(p: SpinParams, n_theta: int | None = None, n_phi: int | None = N
         raise ValueError(f"sphere grid needs n_theta, n_phi >= 1, got {n_theta}, {n_phi}")
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x[::-1])
-    weights = w[::-1].copy()
-    phi = np.arange(n_phi) * 2 * math.pi / n_phi
-    return SphereGrid(theta, weights, phi, 2 * math.pi / n_phi)
+    return SphereGrid(theta, w[::-1].copy(), n_phi)
 
 
 def _fac(n: int) -> int:
@@ -199,7 +195,7 @@ def moyal_system(
     need_theta = p.two_s + 1
     need_phi = 2 * p.two_s + 2
     if not allow_underresolved and (
-        len(grid.theta_nodes) < need_theta or len(grid.phi_nodes) < need_phi
+        len(grid.theta_nodes) < need_theta or grid.n_phi < need_phi
     ):
         raise ValueError(
             f"grid is under-resolved for 2s={p.two_s}: need at least "
@@ -217,10 +213,8 @@ def moyal_system(
         grid=grid.to_index_grid(p),
         analysis_family=SliceFamily(dual, charges),
         synthesis_family=SliceFamily(direct, charges),
-        phis=grid.phi_nodes,
         vacuum=kernel_direct(p, 0.0, 0.0),
         test_functional=kernel_dual(p, 0.0, 0.0),
-        normalization=1.0,
     )
 
 

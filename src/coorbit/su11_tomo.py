@@ -148,9 +148,8 @@ class SUGrid:
     def to_index_grid(self) -> IndexGrid:
         tn, tw = np.polynomial.legendre.leggauss(self.n_theta)
         theta = (tn + 1) * self.theta_max / 2
-        phi = np.arange(self.n_phi) * 2 * math.pi / self.n_phi
         weights = tw * self.theta_max / 2 * np.tanh(theta) * (2 * math.pi / self.n_phi)
-        return slice_major_grid(theta, weights / (4 * math.pi), phi)
+        return slice_major_grid(theta, weights / (4 * math.pi), self.n_phi)
 
 
 def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
@@ -162,17 +161,14 @@ def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
 
 def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     index_grid = grid.to_index_grid()
-    nodes = np.array(index_grid.nodes)
-    theta, phis = nodes[:: grid.n_phi, 0], nodes[: grid.n_phi, 1]
+    theta = np.array(index_grid.nodes[:: grid.n_phi])[:, 0]
     _, b, pi = _slices(rep, theta)
     return TomographicSystem(
         grid=index_grid,
         analysis_family=SliceFamily(b.astype(complex), np.arange(rep.cutoff)),
         synthesis_family=SliceFamily(pi, -np.arange(rep.cutoff)),
-        phis=phis,
         vacuum=Operator(np.eye(rep.cutoff)),
         test_functional=Operator(np.eye(rep.cutoff)),
-        normalization=1.0,
     )
 
 

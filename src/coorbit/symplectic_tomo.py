@@ -176,13 +176,12 @@ def marginal_wigner_consistency(
     mu: float = 1.0,
     nu: float = 0.0,
     X_nodes=None,
-    t_max: float = 5.0,
     n_t: int = 120,
 ) -> float:
     """Cross-check the marginal against a line integral of the Wigner density.
 
-    w(X, mu, nu) = (1/s) * integral over t of W((X/s) e + t e_perp) with e the
-    unit vector along (mu, nu). Returns the max abs deviation over X_nodes.
+    w(X, mu, nu) = (1/s) * integral over |t| <= 5 of W((X/s) e + t e_perp) with
+    e the unit vector along (mu, nu). Returns the max abs deviation over X_nodes.
     """
     if X_nodes is None:
         X_nodes = np.linspace(-3, 3, 13)
@@ -190,8 +189,8 @@ def marginal_wigner_consistency(
     e = (mu / s, nu / s)
     e_perp = (-nu / s, mu / s)
     tn, tw = np.polynomial.legendre.leggauss(n_t)
-    t = tn * t_max
-    tw = tw * t_max
+    t = tn * 5.0
+    tw = tw * 5.0
     direct = marginal(rho, mu, nu, np.asarray(X_nodes))
     worst = 0.0
     for x, w_direct in zip(X_nodes, direct):

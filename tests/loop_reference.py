@@ -4,9 +4,10 @@
 operators in closed form over whole grids. This module keeps the earlier
 evaluation, one node at a time: the symplectic double sum over directions,
 the lattice Wigner function and point reconstruction through 2N x 2N point
-operators, the SU(1,1) group element through truncated power series of
-the ladder operators, and the ordered displacements and displaced parity
-of ``cv_tomo`` as products of padded matrices cropped to d.
+operators, each point operator as a Fourier sum over displacements, the
+SU(1,1) group element through truncated power series of the ladder
+operators, and the ordered displacements and displaced parity of
+``cv_tomo`` as products of padded matrices cropped to d.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator
 from coorbit.opalg import Operator, matrix_exp
-from coorbit.discrete_ps import point_operator
+from coorbit.discrete_ps import displacement_discrete, point_operator
 from coorbit.su11_tomo import _kplus, generators
 from coorbit.symplectic_tomo import _quadrature_factors, hermite_functions
 
@@ -67,6 +68,17 @@ def reconstruct_point(rho, N):
             a = point_operator(N, q, p).entries
             acc += np.trace(rho.op.entries @ a) * a
     return 4 * N * acc
+
+
+def point_operator_fourier(N, q, p):
+    """A(q, p) = (1/(2N)^2) sum_{m,k} U(m, k) e^{-2 pi i (k q - m p)/(2N)}."""
+    acc = np.zeros((N, N), dtype=complex)
+    for m in range(2 * N):
+        for k in range(2 * N):
+            # 2N-th roots of unity with exact integer angles
+            ang = math.pi * ((k * q - m * p) % (2 * N)) / N
+            acc += displacement_discrete(N, m, k).entries * np.exp(-1j * ang)
+    return acc / (2 * N) ** 2
 
 
 def group_element(rep, theta, phi):

@@ -395,7 +395,7 @@ FUZZ_BASES = [
     ("state-make", None, {"system": "dps", "params": {"N": 3},
                           "state": {"kind": "random", "d": 3, "seed": 2}}),
 ]
-FUZZ_VALUES = [None, "1", [], {}, True, -1, 0, 2.5, float("nan"), float("inf")]
+FUZZ_VALUES = [None, "1", [], {}, True, -1, 0, 2.5, 1e308, 1e-300, float("nan"), float("inf")]
 
 
 def _key_paths(obj, prefix=()):

@@ -113,8 +113,8 @@ class TestPointOperator:
         for n in (2, 3):
             for q in range(2 * n):
                 for p in range(2 * n):
-                    a1 = point_operator(n, q, p, route="parity").entries
-                    a2 = point_operator(n, q, p, route="fourier").entries
+                    a1 = point_operator(n, q, p).entries
+                    a2 = loop_reference.point_operator_fourier(n, q, p)
                     assert np.abs(a1 - a2).max() < 1e-13
 
     def test_hermitian(self):
@@ -140,10 +140,6 @@ class TestPointOperator:
             point_operator(2, 4, 0)
         with pytest.raises(ValueError):
             point_operator(2, 0, -1)
-
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            point_operator(2, 0, 0, route="other")
 
 
 class TestDiscreteWigner:

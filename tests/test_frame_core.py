@@ -251,18 +251,16 @@ class TestFrameBounds:
         assert report.A == pytest.approx(math.sqrt(2), abs=1e-12)
         assert report.B == pytest.approx(math.sqrt(2), abs=1e-12)
 
-    @pytest.mark.parametrize("change, message", [("phis", "uniform circle"),
-                                                 ("weights", "depend on phi"),
+    @pytest.mark.parametrize("change, message", [("weights", "depend on phi"),
                                                  ("charges", "integer charge differences")])
     def test_system_needs_uniform_phase_circle(self, change, message):
         # frame_bounds sums the phi axis in closed form, which holds only on the
-        # uniform circle with phi-independent weights and integer charge differences
+        # uniform circle (derived, so uniform by construction) with
+        # phi-independent weights and integer charge differences
         p = SpinParams(1)
         sys = moyal_system(p, sphere_grid(p))
         n_phi = len(sys.phis)
-        if change == "phis":
-            bad = {"phis": sys.phis ** 1.1}
-        elif change == "weights":
+        if change == "weights":
             w = sys.grid.weights * np.tile(1 + 0.1 * np.arange(n_phi), len(sys.grid) // n_phi)
             bad = {"grid": IndexGrid(sys.grid.nodes, w)}
         else:
@@ -276,13 +274,13 @@ class TestFrameBounds:
 
     def test_report_accepts_zero_lower_bound(self):
         # an under-resolved grid has A = 0; that is a value to report
-        assert frame_core.FrameReport(0.0, 1.5, -0.1, 2.25, 1 + 0j).A == 0.0
+        assert frame_core.FrameReport(0.0, 1.5, -0.1, 2.25).A == 0.0
 
     @pytest.mark.parametrize("a, b", [(-0.1, 1.0), (2.0, 1.0), (math.nan, 1.0),
                                       (0.5, math.nan), (0.5, math.inf)])
     def test_report_rejects_invalid_bounds(self, a, b):
         with pytest.raises(ValueError):
-            frame_core.FrameReport(a, b, 0.0, 1.0, 1 + 0j)
+            frame_core.FrameReport(a, b, 0.0, 1.0)
 
 
 class TestRegularizer:

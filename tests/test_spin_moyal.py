@@ -232,7 +232,7 @@ class TestMoyalSystem:
         sys = moyal_system(p, grid)
         rng = np.random.default_rng(5)
         rho = random_state(rng, 3)
-        n_phi = len(grid.phi_nodes)
+        n_phi = grid.n_phi
         shift = 2 * math.pi / n_phi
         jz = np.diag([1.0, 0.0, -1.0])
         u = np.diag(np.exp(-1j * shift * np.diag(jz)))
