@@ -8,7 +8,10 @@ Three subcommands driven by a strictly validated JSON config:
   as CSV.
 
 Each config section is checked against its typed table by :func:`_typed`;
-the commands read only the typed values it returns.
+the commands read only the typed values it returns. An arithmetic failure
+(overflow, division by zero, invalid operation) is reported as a config
+error that names the number keys of the section being computed and their
+values.
 
 Exit codes: 0 success, 1 usage or config error, 2 tolerance failure.
 All floating-point output is printed with 17 significant digits, and node
@@ -19,7 +22,9 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -135,10 +140,26 @@ def _params(doc: dict, command: str) -> dict:
     return _typed(doc["params"], table, "params")
 
 
+@contextlib.contextmanager
+def _blame(section: dict, where: str):
+    """Report an arithmetic failure as a config error naming the section's number keys."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        keys = ", ".join(f"{where}.{k} = {json.dumps(v)}" for k, v in section.items()
+                         if isinstance(v, (float, list))) or where
+        raise ConfigError(f"{keys}: arithmetic out of range ({exc})") from exc
+
+
 def build_state(state_cfg: dict) -> DensityMatrix:
     kind = state_cfg.get("kind")
     table = STATES[kind] if isinstance(kind, str) and kind in STATES else {}
     s = _typed(state_cfg, {"kind": (tuple(STATES), REQ), **table}, "state")
+    with _blame(s, "state"):
+        return _make_state(kind, s)
+
+
+def _make_state(kind: str, s: dict) -> DensityMatrix:
     if kind == "fock":
         if not 0 <= s["n"] < s["d"]:
             raise ConfigError("fock level must satisfy 0 <= n < d")
@@ -146,7 +167,10 @@ def build_state(state_cfg: dict) -> DensityMatrix:
         v[s["n"]] = 1
         return DensityMatrix(Operator(np.outer(v, v)))
     if kind == "coherent":
-        v = cv_tomo.coherent_state(cv_tomo.FockSpace(s["d"]), complex(s["beta_re"], s["beta_im"]))
+        beta = complex(s["beta_re"], s["beta_im"])
+        if abs(beta) > math.sqrt(_sys.float_info.max):
+            raise ArithmeticError("the mean photon number |beta|^2 exceeds the float range")
+        v = cv_tomo.coherent_state(cv_tomo.FockSpace(s["d"]), beta)
         return DensityMatrix(Operator(np.outer(v, v.conj())))
     if kind == "thermal":
         if s["nbar"] <= 0:
@@ -227,8 +251,15 @@ def _check_tolerances(report: dict, tolerances: dict):
 
 
 def cmd_tomo_run(doc: dict, out_path: str) -> int:
-    name = doc["system"]
     params = _params(doc, "tomo-run")
+    with _blame(params, "params"):
+        report = _tomo_report(doc, params)
+    _check_tolerances(report, doc["tolerances"])
+    return _write(out_path, _json_17(report))
+
+
+def _tomo_report(doc: dict, params: dict) -> dict:
+    name = doc["system"]
     report: dict = {"system": name}
     if name == "symplectic":
         f = cv_tomo.FockSpace(params["d"])
@@ -267,8 +298,7 @@ def cmd_tomo_run(doc: dict, out_path: str) -> int:
             fr = frame_bounds(sys_obj)
             report["frame_A"] = fr.A
             report["frame_B"] = fr.B
-    _check_tolerances(report, doc["tolerances"])
-    return _write(out_path, _json_17(report))
+    return report
 
 
 def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
@@ -276,6 +306,12 @@ def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
     if EMIT_SYSTEMS.get(kind) != name:
         raise ConfigError(f"emit kind {kind!r} is not supported for system {name!r}")
     params = _params(doc, "emit")
+    with _blame(params, "params"):
+        header, rows = _emit_rows(doc, kind, params)
+    return _write(out_path, "\n".join([header, *rows]))
+
+
+def _emit_rows(doc: dict, kind: str, params: dict):
     if kind == "wigner":
         N = params["N"]
         w = discrete_ps.discrete_wigner(_state(doc, kind="fock", n=0, d=N), N)
@@ -284,11 +320,10 @@ def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
     elif kind == "qfunc":
         rho = _state(doc, kind="fock", n=0, d=params["d"])
         header = "alpha_re,alpha_im,value_re,value_im"
-        rows = []
-        for node in _polar_grid(params).to_index_grid().nodes:
-            alpha = node[0] * np.exp(1j * node[1])
-            q = cv_tomo.qfunction(rho, alpha)
-            rows.append(f"{_fmt(alpha.real)},{_fmt(alpha.imag)},{_fmt(q)},{_fmt(0.0)}")
+        r, ph = np.array(_polar_grid(params).to_index_grid().nodes).T
+        alphas = r * np.exp(1j * ph)
+        rows = [f"{_fmt(a.real)},{_fmt(a.imag)},{_fmt(q)},{_fmt(0.0)}"
+                for a, q in zip(alphas, cv_tomo.qfunctions(rho, alphas))]
     elif kind == "marginal":
         rho = _state(doc, kind="fock", n=0, d=params["d"])
         mu, nu = params["mu"], params["nu"]
@@ -306,7 +341,7 @@ def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
             f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
             for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)
         ]
-    return _write(out_path, "\n".join([header, *rows]))
+    return header, rows
 
 
 def main(argv=None) -> int:
@@ -342,7 +377,6 @@ def main(argv=None) -> int:
         print(f"tolerance failure: {exc}", file=_sys.stderr)
         return 2
     except (ConfigError, ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a finite value whose arithmetic overflows, as a range error
         print(f"config error: {exc}", file=_sys.stderr)
         return 1
 

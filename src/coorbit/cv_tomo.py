@@ -1,9 +1,12 @@
 """Homodyne-style tomography on truncated Fock space.
 
-Displacement operators (closed-form associated-Laguerre matrix elements)
-over a polar phase-space grid form an approximate Parseval family: sampling
-Tr(rho D(alpha)^dag) and resumming against D(alpha) with the measure
-d^2alpha / pi reconstructs the state up to radial-tail truncation error.
+Displacement operators (closed-form associated-Laguerre matrix elements;
+Brif & Mann, PRA 59, 971 (1999)) over a polar phase-space grid form an
+approximate Parseval family: sampling Tr(rho D(alpha)^dag) and resumming
+against D(alpha) with the measure d^2alpha / pi reconstructs the state up
+to radial-tail truncation error. The matrix elements of a whole stack of
+alpha come from one numpy three-term Laguerre recurrence, with
+log-factorials from one cumulative sum of logs.
 The module also provides ordering-dependent characteristic functions,
 quadrature operators, the diagonal probe operator used for admissibility in
 the singular (identity-vacuum) case, displaced-parity operators, the
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, expand_family
 from .frame_core import singular_admissibility, slice_major_grid, synthesize
@@ -95,26 +97,45 @@ class OrderingKind:
             object.__setattr__(self, "nu", nu)
 
 
-def displacement_cv(f: FockSpace, alpha: complex) -> Operator:
-    """Displacement D(alpha) = exp(alpha a^dag - conj(alpha) a).
+def log_factorials(n: int) -> np.ndarray:
+    """log(j!) for j = 0..n-1, from one cumulative sum of logs."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n)))))
+
+
+def displacements(d: int, alphas) -> np.ndarray:
+    """D(alpha) = exp(alpha a^dag - conj(alpha) a) for every alpha, as an (n, d, d) stack.
 
     Matrix elements from the associated-Laguerre closed form
     <m|D|n> = sqrt(n!/m!) alpha^(m-n) e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2)
     for m >= n (conjugate-reflected below the diagonal); machine-accurate at
-    every |alpha|, unlike the truncated exponential.
+    every |alpha|, unlike the truncated exponential. L_j^{(k)}(x) comes from
+    L_{j+1} = ((2j + 1 + k - x) L_j - (j + k) L_{j-1}) / (j + 1), run once
+    over j for every k and alpha.
     """
-    d = f.d
-    x = abs(alpha) ** 2
+    alphas = np.asarray(alphas, dtype=complex).ravel()
+    x = np.abs(alphas) ** 2
+    k = np.arange(d)[:, None]
+    lag = np.empty((d, d, len(x)))  # lag[j, k] = L_j^{(k)}(x)
+    lag[0] = 1
+    if d > 1:
+        lag[1] = 1 + k - x
+    for j in range(1, d - 1):
+        lag[j + 1] = ((2 * j + 1 + k - x) * lag[j] - (j + k) * lag[j - 1]) / (j + 1)
     m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    k = m - n
-    lo = np.minimum(m, n)
-    kk = np.abs(k)
-    lag = eval_genlaguerre(lo, kk, x)
-    log_pref = 0.5 * (gammaln(lo + 1) - gammaln(lo + kk + 1))
-    amp = np.exp(log_pref - x / 2) * lag
-    a = complex(alpha)
-    mat = np.where(k >= 0, a**kk * amp, (-np.conj(a)) ** kk * amp)
-    return Operator(mat.astype(complex))
+    lo, kk = np.minimum(m, n), np.abs(m - n)
+    lf = log_factorials(d)
+    amp = np.exp(0.5 * (lf[lo] - lf[lo + kk]) - x[:, None, None] / 2)
+    amp *= np.moveaxis(lag[lo, kk], -1, 0)
+    # powers of alpha on and above the diagonal, of -conj(alpha) below it
+    bases = np.stack([alphas, -alphas.conj()], axis=1)
+    out = (bases[:, :, None] ** np.arange(d))[:, (m < n).astype(int), kk]
+    out *= amp
+    return out
+
+
+def displacement_cv(f: FockSpace, alpha: complex) -> Operator:
+    """Displacement D(alpha), the one-node case of :func:`displacements`."""
+    return Operator(displacements(f.d, [alpha])[0])
 
 
 def _ordered_displacement(d: int, alpha: complex, ordering: OrderingKind) -> np.ndarray:
@@ -152,8 +173,7 @@ def homodyne_system(f: FockSpace, grid: PolarGrid) -> TomographicSystem:
     """
     if f.d < 2:
         raise ValueError("need d >= 2")
-    slices = np.array([displacement_cv(f, r).entries for r in grid.radial[0]])
-    family = SliceFamily(slices, np.arange(f.d, dtype=float))
+    family = SliceFamily(displacements(f.d, grid.radial[0]), np.arange(f.d, dtype=float))
     return TomographicSystem(
         grid=grid.to_index_grid(),
         analysis_family=family,
@@ -227,33 +247,56 @@ def displaced_parity_closed(f: FockSpace, alpha: complex) -> Operator:
     return Operator(2 * displacement_cv(f, 2 * alpha).entries * parity)
 
 
-def wigner_point(rho: DensityMatrix, q: float, p: float) -> float:
-    """Wigner density W(q, p) = (1/pi) Tr[rho D(2 alpha) P], alpha = (q+ip)/sqrt(2).
+def wigner_points(rho: DensityMatrix, q, p) -> np.ndarray:
+    """Wigner density at every point (q[i], p[i]), from one displacement stack.
 
-    Normalized so the double integral over (q, p) is Tr rho; vacuum gives
+    W(q, p) = (1/pi) Tr[rho D(2 alpha) P] with alpha = (q + ip) / sqrt(2),
+    normalized so the double integral over (q, p) is Tr rho; vacuum gives
     (1/pi) e^{-(q^2 + p^2)}.
     """
-    u = displaced_parity_closed(FockSpace(rho.dim), (q + 1j * p) / math.sqrt(2))
-    return float(np.trace(rho.op.entries @ u.entries).real / (2 * math.pi))
+    alphas = (np.asarray(q, dtype=float) + 1j * np.asarray(p, dtype=float)) / math.sqrt(2)
+    parity = (-1.0) ** np.arange(rho.dim)  # P is diagonal, so D P scales columns
+    dp = displacements(rho.dim, 2 * alphas) * parity
+    return np.einsum("nab,ba->n", dp, rho.op.entries).real / math.pi
+
+
+def wigner_point(rho: DensityMatrix, q: float, p: float) -> float:
+    """Wigner density at one phase-space point; see :func:`wigner_points`."""
+    return float(wigner_points(rho, [q], [p])[0])
+
+
+def coherent_states(f: FockSpace, betas) -> np.ndarray:
+    """Truncated coherent-state amplitudes, one row per beta, each renormalized.
+
+    Row entries are proportional to beta^n / sqrt(n!); the log-amplitudes are
+    shifted by their largest real part before exponentiating, so no row
+    underflows at large |beta|. beta = 0 gives the vacuum.
+    """
+    betas = np.asarray(betas, dtype=complex).ravel()
+    v = np.zeros((len(betas), f.d), dtype=complex)
+    v[:, 0] = 1
+    nonzero = betas != 0
+    log_amp = np.multiply.outer(np.log(betas[nonzero]), np.arange(f.d)) - 0.5 * log_factorials(f.d)
+    amp = np.exp(log_amp - log_amp.real.max(axis=1, keepdims=True))
+    v[nonzero] = amp / np.linalg.norm(amp, axis=1, keepdims=True)
+    return v
 
 
 def coherent_state(f: FockSpace, beta: complex) -> np.ndarray:
-    """Truncated coherent-state amplitudes, renormalized after truncation."""
-    n = np.arange(f.d)
-    if beta == 0:
-        v = np.zeros(f.d, dtype=complex)
-        v[0] = 1
-        return v
-    log_amp = n * np.log(complex(beta)) - 0.5 * gammaln(n + 1.0)
-    v = np.exp(log_amp - abs(beta) ** 2 / 2)
-    return v / np.linalg.norm(v)
+    """One truncated coherent state; see :func:`coherent_states`."""
+    return coherent_states(f, [beta])[0]
+
+
+def qfunctions(rho: DensityMatrix, alphas) -> np.ndarray:
+    """Husimi Q(alpha) = <alpha| rho |alpha> at every alpha, from one stack of coherent states."""
+    v = coherent_states(FockSpace(rho.dim), alphas)
+    q = np.einsum("na,ab,nb->n", v.conj(), rho.op.entries, v).real
+    return np.clip(q, 0.0, 1.0)
 
 
 def qfunction(rho: DensityMatrix, alpha: complex) -> float:
-    """Husimi Q(alpha) = <alpha| rho |alpha> with the truncated coherent state."""
-    v = coherent_state(FockSpace(rho.dim), alpha)
-    q = float(np.real(np.vdot(v, rho.op.entries @ v)))
-    return min(max(q, 0.0), 1.0)
+    """Husimi Q at one alpha; see :func:`qfunctions`."""
+    return float(qfunctions(rho, [alpha])[0])
 
 
 def multimode_system(modes, grids) -> TomographicSystem:

@@ -12,7 +12,9 @@ depend on phi and that charge differences are integers. Families are
 normalized (admissibility constant 1), so the round trip needs no constant.
 Sampling, resummation and the frame-bound Gram are matrix products against
 the slices; only the two-mode builder expands a family to one matrix per
-node (:func:`expand_family`). Instantiations supply grids, slices, charges.
+node (:func:`expand_family`). The Gram is diagonalized one connected block
+of its nonzero pattern at a time, found by a numpy breadth-first labelling.
+Instantiations supply grids, slices, charges.
 """
 
 from __future__ import annotations
@@ -327,19 +329,60 @@ def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:
     return float(np.sum(grid.weights * np.abs(s.values) ** d) ** (1 / d))
 
 
+def _block_labels(pattern: np.ndarray) -> np.ndarray:
+    """Connected-component label of each index of a symmetric boolean pattern.
+
+    Components are numbered in the order of their smallest index. Each
+    breadth-first step ORs the pattern rows of its frontier into one
+    length-n vector, so every row is read once and no n x n temporary is
+    made beside the pattern itself.
+    """
+    n = len(pattern)
+    labels = np.full(n, -1)
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        frontier = [start]
+        while len(frontier):
+            reach = np.zeros(n, dtype=bool)
+            for i in frontier:
+                reach |= pattern[i]
+            frontier = np.flatnonzero(reach & (labels < 0))
+            labels[frontier] = count
+        count += 1
+    return labels
+
+
 def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of Hermitian h, one connected block of its nonzero pattern at a time.
 
     The charge mask and the slices' zero pattern leave many small blocks
     (the lattice Gram couples only entries with equal (a - b) mod N); small
     blocks keep LAPACK single-threaded and the values free of the BLAS
-    thread count.
+    thread count. Each block keeps its indices in increasing order.
     """
-    # imported here: scipy.sparse is slow to import and only frame bounds need it
-    from scipy.sparse.csgraph import connected_components
-    n_blocks, labels = connected_components(h != 0, directed=False)
-    blocks = (np.flatnonzero(labels == k) for k in range(n_blocks))
+    labels = _block_labels(h != 0)
+    blocks = (np.flatnonzero(labels == k) for k in range(labels.max() + 1))
     return np.concatenate([np.linalg.eigvalsh(h[np.ix_(i, i)]) for i in blocks])
+
+
+def _mixed_gram(sys: TomographicSystem) -> np.ndarray:
+    """(S + S^dag) / 2 for S = sum_k w_k vec(G_k) vec(F_k)^dag, from the phase-0 slices.
+
+    On the uniform phi circle the phi sum is n_phi times the phase-0 term
+    where the charge differences of G and F agree modulo n_phi, and 0
+    elsewhere.
+    """
+    dim, n_phi = sys.dim, len(sys.phis)
+    g, f = sys.synthesis_family, sys.analysis_family
+    w = n_phi * sys.grid.weights[::n_phi, None]
+    vg, vf = (np.reshape(fam.slices, (-1, dim * dim)) for fam in (g, f))
+    gram = (vg * w).T @ vf.conj()
+    key_g, key_f = (_flat_differences(fam.charges) % n_phi for fam in (g, f))
+    gram[key_g[:, None] != key_f[None, :]] = 0
+    return (gram + gram.conj().T) / 2
 
 
 def frame_bounds(
@@ -349,11 +392,9 @@ def frame_bounds(
 
     For d = 2 the mixed Gram superoperator S = sum_k w_k vec(G_k) vec(F_k)^dag
     is assembled as a dim^2 x dim^2 matrix, symmetrized and diagonalized one
-    connected block at a time; A and B are the square roots of its extreme
-    eigenvalues. On the uniform phi circle the phi sum is n_phi times the
-    phase-0 term where the charge differences of G and F agree modulo n_phi,
-    and 0 elsewhere. For d != 2 the bounds are sampled empirically
-    over random unit-norm operators (estimates, not certificates).
+    connected block at a time (:func:`_mixed_gram`); A and B are the square
+    roots of its extreme eigenvalues. For d != 2 the bounds are sampled
+    empirically over random unit-norm operators (estimates, not certificates).
     """
     dim = sys.dim
     if dim * dim > GRAM_DIM_LIMIT:
@@ -362,14 +403,7 @@ def frame_bounds(
             "use a smaller system"
         )
     if d == 2:
-        n_phi = len(sys.phis)
-        g, f = sys.synthesis_family, sys.analysis_family
-        w = n_phi * sys.grid.weights[::n_phi, None]
-        vg, vf = (np.reshape(fam.slices, (-1, dim * dim)) for fam in (g, f))
-        gram = (vg * w).T @ vf.conj()
-        key_g, key_f = (_flat_differences(fam.charges) % n_phi for fam in (g, f))
-        gram[key_g[:, None] != key_f[None, :]] = 0
-        evals = _block_eigvalsh((gram + gram.conj().T) / 2)
+        evals = _block_eigvalsh(_mixed_gram(sys))
         lo, hi = float(evals.min()), float(evals.max())
     else:
         rng = np.random.default_rng(seed)

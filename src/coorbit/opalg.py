@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -111,6 +110,9 @@ def hs_inner(a: Operator, b: Operator) -> complex:
 
 def matrix_exp(a: Operator) -> Operator:
     """Matrix exponential exp(a) (scaling and squaring)."""
+    # imported here: the only scipy use in the package, and slow to import
+    import scipy.linalg
+
     return Operator(scipy.linalg.expm(a.entries))
 
 

@@ -7,7 +7,9 @@ Pairing a state against the dual kernel gives its spherical symbol, and the
 weighted sum of symbols against the direct kernel reconstructs the state
 exactly on a product Gauss-Legendre x uniform grid (the integrand is
 band-limited to spherical-harmonic degree 4s, so (2s+1) x (4s+2) nodes give
-machine-precision quadrature).
+machine-precision quadrature). Rotations come from one numpy eigh of Jy,
+whose eigenvalues are exactly m: exp(-i theta Jy) = V diag(e^{-i theta m})
+V^dag.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, analyze
 from .frame_core import slice_major_grid
-from .opalg import DensityMatrix, Operator, matrix_exp
+from .opalg import DensityMatrix, Operator
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,27 @@ def _angular_momentum(p: SpinParams):
     return jx, jy
 
 
+def _rotations(p: SpinParams, thetas, phi: float = 0.0) -> np.ndarray:
+    """Z U(theta) Z^dag for every theta: U(theta) = exp(-i theta Jy), Z = diag(e^{-i phi m}).
+
+    Conjugating by the z rotation Z turns the generator Jy into
+    -sin(phi) Jx + cos(phi) Jy. U comes from one eigh of Jy; its eigenvalues
+    are exactly the half-integers m, so they are rounded to them.
+    """
+    m, v = np.linalg.eigh(_angular_momentum(p)[1])
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(thetas, dtype=float), np.round(2 * m) / 2))
+    u = (v * phases[:, None, :]) @ v.conj().T
+    z = np.exp(-1j * phi * (p.s - np.arange(p.dim)))
+    return z[:, None] * u * z.conj()
+
+
 def rotation_operator(p: SpinParams, theta: float, phi: float) -> Operator:
     """Unitary rotating the north pole to direction (theta, phi).
 
     Rotation by theta about the in-plane axis perpendicular to both n_z and
     the target direction: generator -sin(phi) Jx + cos(phi) Jy.
     """
-    jx, jy = _angular_momentum(p)
-    gen = -math.sin(phi) * jx + math.cos(phi) * jy
-    return matrix_exp(Operator(-1j * theta * gen))
+    return Operator(_rotations(p, [theta], phi)[0])
 
 
 def kernel_direct(p: SpinParams, theta: float, phi: float) -> Operator:
@@ -203,9 +216,8 @@ def moyal_system(
         )
     # Rotating about z by phi conjugates both kernels by diag(e^{-i phi m}).
     charges = np.arange(p.dim) - p.s  # -m in the m = s..-s ordering
-    # the phi = 0 rotations of kernel_dual and kernel_direct, one expm call for all theta
-    jy = _angular_momentum(p)[1]
-    u = scipy.linalg.expm(-1j * np.asarray(grid.theta_nodes)[:, None, None] * jy)
+    # the phi = 0 rotations of kernel_dual and kernel_direct, one eigh for all theta
+    u = _rotations(p, grid.theta_nodes)
     dual = (u * np.array(dual_coefficients(p.two_s))) @ u.conj().transpose(0, 2, 1)
     top = u[:, :, 0]
     direct = top[:, :, None] * top.conj()[:, None, :]

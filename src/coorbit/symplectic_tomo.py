@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cv_tomo import FockSpace, PAD, lowering, wigner_point
+from .cv_tomo import FockSpace, PAD, lowering, wigner_points
 from .frame_core import RegularizerSpec
 from .opalg import DensityMatrix, Operator, closest_density, fidelity
 
@@ -185,18 +185,12 @@ def marginal_wigner_consistency(
     """
     if X_nodes is None:
         X_nodes = np.linspace(-3, 3, 13)
+    x = np.asarray(X_nodes, dtype=float)
     s = math.hypot(mu, nu)
-    e = (mu / s, nu / s)
-    e_perp = (-nu / s, mu / s)
     tn, tw = np.polynomial.legendre.leggauss(n_t)
-    t = tn * 5.0
-    tw = tw * 5.0
-    direct = marginal(rho, mu, nu, np.asarray(X_nodes))
-    worst = 0.0
-    for x, w_direct in zip(X_nodes, direct):
-        line = sum(
-            wt * wigner_point(rho, x / s * e[0] + ti * e_perp[0], x / s * e[1] + ti * e_perp[1])
-            for ti, wt in zip(t, tw)
-        )
-        worst = max(worst, abs(line / s - w_direct))
-    return worst
+    t, tw = tn * 5.0, tw * 5.0
+    # (x / s) e + t e_perp for every X node x and every t, with e = (mu, nu) / s
+    e, e_perp = np.array([mu, nu]) / s, np.array([-nu, mu]) / s
+    points = (x / s)[:, None, None] * e + t[:, None] * e_perp
+    w = wigner_points(rho, points[..., 0].ravel(), points[..., 1].ravel()).reshape(len(x), n_t)
+    return float(np.max(np.abs(w @ tw / s - marginal(rho, mu, nu, x)), initial=0.0))

@@ -6,19 +6,26 @@ evaluation, one node at a time: the symplectic double sum over directions,
 the lattice Wigner function and point reconstruction through 2N x 2N point
 operators, each point operator as a Fourier sum over displacements, the
 SU(1,1) group element through truncated power series of the ladder
-operators, and the ordered displacements and displaced parity of
-``cv_tomo`` as products of padded matrices cropped to d.
+operators, the ordered displacements and displaced parity of ``cv_tomo``
+as products of padded matrices cropped to d, and the marginal/Wigner
+line integrals one Wigner point at a time. It also keeps the scipy paths
+that the package replaced with numpy: the Laguerre displacement from
+``scipy.special`` and the spin rotation from ``scipy.linalg.expm``.
 """
 
 import math
 
 import numpy as np
 
-from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator
+import scipy.linalg
+from scipy.special import eval_genlaguerre, gammaln
+
+from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator, wigner_point
 from coorbit.opalg import Operator, matrix_exp
 from coorbit.discrete_ps import displacement_discrete, point_operator
+from coorbit.spin_moyal import _angular_momentum
 from coorbit.su11_tomo import _kplus, generators
-from coorbit.symplectic_tomo import _quadrature_factors, hermite_functions
+from coorbit.symplectic_tomo import _quadrature_factors, hermite_functions, marginal
 
 
 def _scaled_density(rho, mu, nu, y):
@@ -151,3 +158,37 @@ def displaced_parity_closed(d, alpha):
     dp = d + PAD
     big = displacement_cv(FockSpace(dp), 2 * alpha).entries @ parity_operator(dp).entries
     return 2 * big[:d, :d]
+
+
+def displacement_laguerre(d, alpha):
+    """<m|D(alpha)|n> from scipy's generalized Laguerre polynomials and log-gamma."""
+    x = abs(alpha) ** 2
+    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    k = m - n
+    lo = np.minimum(m, n)
+    kk = np.abs(k)
+    log_pref = 0.5 * (gammaln(lo + 1) - gammaln(lo + kk + 1))
+    amp = np.exp(log_pref - x / 2) * eval_genlaguerre(lo, kk, x)
+    a = complex(alpha)
+    return np.where(k >= 0, a**kk * amp, (-np.conj(a)) ** kk * amp)
+
+
+def rotation_expm(p, theta, phi):
+    """exp(-i theta (-sin(phi) Jx + cos(phi) Jy)) by scipy's Pade expm."""
+    jx, jy = _angular_momentum(p)
+    return scipy.linalg.expm(-1j * theta * (-math.sin(phi) * jx + math.cos(phi) * jy))
+
+
+def marginal_wigner_consistency(rho, mu, nu, X_nodes, n_t):
+    """Max deviation of (1/s) sum_t w_t W(x/s e + t e_perp) from the marginal, point by point."""
+    s = math.hypot(mu, nu)
+    e, e_perp = (mu / s, nu / s), (-nu / s, mu / s)
+    tn, tw = np.polynomial.legendre.leggauss(n_t)
+    worst = 0.0
+    for x, w_direct in zip(X_nodes, marginal(rho, mu, nu, np.asarray(X_nodes))):
+        line = sum(
+            wt * wigner_point(rho, x / s * e[0] + ti * e_perp[0], x / s * e[1] + ti * e_perp[1])
+            for ti, wt in zip(tn * 5.0, tw * 5.0)
+        )
+        worst = max(worst, abs(line / s - w_direct))
+    return worst

@@ -337,6 +337,15 @@ MALFORMED = [
                         "state": {"kind": "random", "d": 3, "nbar": 1.0}}, "nbar"),
     ("tomo-run", None, {"system": "dps", "params": {"N": 3}, "seed": -1}, "config.seed"),
     ("tomo-run", None, {"system": "spin", "params": {"two_s": 2, "n_phi": 0}}, "n_phi"),
+    # finite values whose arithmetic overflows: the error names the keys behind it
+    ("state-make", None, {"system": "dps", "params": {"N": 3},
+                          "state": {"kind": "coherent", "d": 4, "beta_re": 1e200}},
+     "state.beta_re"),
+    ("tomo-run", None, {"system": "su11",
+                        "params": {"k": 1.0, "cutoff": 6, "theta_max_ladder": [800.0]}},
+     "theta_max_ladder"),
+    ("tomo-run", None, {"system": "homodyne",
+                        "params": {"d": 4, "R": 1e308, "n_r": 4, "n_phi": 4}}, "params.R"),
 ]
 
 
@@ -350,6 +359,55 @@ def run_main(path, command, kind, out):
         warnings.simplefilter("error")
         rc = main(argv)
     return rc, err.getvalue().splitlines()
+
+
+# every tomo-run system (frame bounds on) and every emit kind, at small sizes
+NUMPY_ONLY_RUNS = [
+    ("tomo-run", None, {"system": "dps", "params": {"N": 4}}),
+    ("tomo-run", None, {"system": "spin", "params": {"two_s": 6}}),
+    ("tomo-run", None, {"system": "homodyne", "params": {"d": 8, "R": 5.0, "n_r": 16, "n_phi": 20},
+                        "state": {"kind": "coherent", "d": 8, "beta_re": 0.4, "beta_im": 0.2}}),
+    ("tomo-run", None, {"system": "symplectic",
+                        "params": {"d": 6, "delta_ladder": [2.0, 4.0], "n_mn": 12}}),
+    ("tomo-run", None, {"system": "su11", "params": {
+        "k": 1.0, "cutoff": 6, "theta_max_ladder": [2.0, 4.0], "n_theta": 20, "n_phi": 8}}),
+    ("emit", "wigner", {"system": "dps", "params": {"N": 4}}),
+    ("emit", "qfunc", {"system": "homodyne", "params": {"d": 8, "R": 4.0, "n_r": 8, "n_phi": 8}}),
+    ("emit", "marginal", {"system": "symplectic",
+                          "params": {"d": 6, "mu": 0.6, "nu": 0.8, "n_X": 21}}),
+    ("emit", "symbols", {"system": "spin", "params": {"two_s": 4}}),
+]
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # one interpreter in which scipy cannot be imported runs every command; no
+    # scipy module gets loaded, and each output equals that of an unblocked run
+    argvs = []
+    for i, (command, kind, doc) in enumerate(NUMPY_ONLY_RUNS):
+        argv = [command, "--config", write_config(tmp_path, doc, f"c{i}.json")]
+        argvs.append(argv + (["--kind", kind] if kind else []))
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import coorbit.cli\n"
+        "argvs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "codes = [coorbit.cli.main(a + ['--out', f'{out}{i}']) for i, a in enumerate(argvs)]\n"
+        "loaded = [m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod]\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    src = str(Path(coorbit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs), str(tmp_path / "blocked")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(argvs) and loaded == [], proc.stderr
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"unblocked{i}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / f"blocked{i}").read_bytes()
 
 
 class TestConfigTable:

@@ -12,9 +12,11 @@ from coorbit.cv_tomo import (
     admissibility_cv,
     char_function,
     coherent_state,
+    coherent_states,
     displaced_parity,
     displaced_parity_closed,
     displacement_cv,
+    displacements,
     homodyne_system,
     lowering,
     multimode_admissibility,
@@ -23,8 +25,10 @@ from coorbit.cv_tomo import (
     parity_operator,
     probe_vector_cv,
     qfunction,
+    qfunctions,
     quadrature_operator,
     wigner_point,
+    wigner_points,
 )
 from coorbit.cv_tomo import _ordered_displacement
 from coorbit.opalg import (
@@ -86,6 +90,21 @@ class TestDisplacement:
         d, pad = 6, 30
         u = displacement_cv(FockSpace(d + pad), 1.2j).entries
         assert np.abs((u.conj().T @ u - np.eye(d + pad))[:d, :d]).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 8, 16, 32, 48])
+    def test_matches_scipy_laguerre(self, d):
+        # the numpy recurrence against scipy's Laguerre polynomials, |alpha|^2 up to 169
+        rng = np.random.default_rng(d)
+        alphas = np.sqrt(np.linspace(0, 169, 40)) * np.exp(2j * math.pi * rng.random(40))
+        for got, alpha in zip(displacements(d, alphas), alphas):
+            want = loop_reference.displacement_laguerre(d, alpha)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_stack_rows_equal_one_node(self):
+        alphas = [0.0, 0.3 - 0.4j, 2.5j, -4.0]
+        stack = displacements(12, alphas)
+        for row, alpha in zip(stack, alphas):
+            assert np.array_equal(row, displacement_cv(FockSpace(12), alpha).entries)
 
 
 class TestOrderings:
@@ -286,6 +305,15 @@ class TestDisplacedParity:
         rho = fock_state(24, 1)
         assert wigner_point(rho, 0.0, 0.0) == pytest.approx(-1 / math.pi, abs=1e-10)
 
+    def test_wigner_function_matches_closed_form_trace(self):
+        # the batched trace against Tr[rho U(alpha)] / (2 pi) with the one-node closed form
+        rho = coherent_density(12, 0.3 + 0.5j)
+        q, p = np.array([0.0, 0.7, -1.2, 2.0]), np.array([0.0, -0.4, 0.9, 1.5])
+        want = [np.trace(rho.op.entries @ displaced_parity_closed(
+            FockSpace(12), (a + 1j * b) / math.sqrt(2)).entries).real / (2 * math.pi)
+            for a, b in zip(q, p)]
+        assert np.abs(wigner_points(rho, q, p) - want).max() < 1e-15
+
 
 class TestQFunction:
     def test_vacuum(self):
@@ -298,6 +326,23 @@ class TestQFunction:
     def test_coherent_peak(self):
         rho = coherent_density(32, 0.7 + 0.2j)
         assert qfunction(rho, 0.7 + 0.2j) == pytest.approx(1, abs=1e-8)
+
+    def test_batched_matches_per_node_overlap(self):
+        # one contraction over every alpha against <alpha|rho|alpha> one node at a time
+        rho = coherent_density(16, -0.4 + 0.6j)
+        alphas = np.array([0.0, 0.5, 1.0 + 0.5j, -2.0j, 3.5 - 1.0j])
+        want = [np.vdot(v, rho.op.entries @ v).real for v in
+                (coherent_state(FockSpace(16), a) for a in alphas)]
+        assert np.abs(qfunctions(rho, alphas) - want).max() < 1e-15
+
+    def test_coherent_states_rows_and_large_beta(self):
+        betas = [0.0, 0.3 + 0.1j, 40.0, 1e6j]
+        v = coherent_states(FockSpace(8), betas)
+        for row, beta in zip(v, betas):
+            assert np.array_equal(row, coherent_state(FockSpace(8), beta))
+        # no row underflows: |beta| >> d leaves the state near the top level
+        assert np.all(np.isfinite(v)) and np.allclose(np.linalg.norm(v, axis=1), 1)
+        assert abs(v[2, -1]) > 0.5 and abs(v[3, -1]) > 0.99
 
     def test_disc_normalization(self):
         # integral Q d^2alpha / pi over a radius-6 disc = 1 up to tail

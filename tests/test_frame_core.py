@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from scipy.sparse.csgraph import connected_components
+
 from coorbit import frame_core
+from coorbit.cv_tomo import FockSpace, PolarGrid, homodyne_system, multimode_system
 from coorbit.discrete_ps import heisenberg_finite_system
 from coorbit.frame_core import (
     IndexGrid,
@@ -25,6 +28,7 @@ from coorbit.frame_core import (
 )
 from coorbit.opalg import Operator, hs_inner
 from coorbit.spin_moyal import SpinParams, kernel_direct, moyal_system, sphere_grid
+from coorbit.su11_tomo import DiscreteSeriesRep, SUGrid, su11_system
 
 
 def random_state(rng, d):
@@ -281,6 +285,37 @@ class TestFrameBounds:
     def test_report_rejects_invalid_bounds(self, a, b):
         with pytest.raises(ValueError):
             frame_core.FrameReport(a, b, 0.0, 1.0)
+
+
+GATE_SYSTEMS = {
+    "dps-3": lambda: heisenberg_finite_system(3),
+    "dps-15": lambda: heisenberg_finite_system(15),
+    "spin-4": lambda: moyal_system(SpinParams(4), sphere_grid(SpinParams(4))),
+    "spin-10": lambda: moyal_system(SpinParams(10), sphere_grid(SpinParams(10))),
+    "homodyne-32": lambda: homodyne_system(FockSpace(32), PolarGrid(6.0, 48, 64)),
+    "homodyne-12": lambda: homodyne_system(FockSpace(12), PolarGrid(4.0, 32, 32)),
+    "su11-8": lambda: su11_system(DiscreteSeriesRep(1.0, 8), SUGrid(6.0, 80, 16)),
+    "two-mode-3": lambda: multimode_system([FockSpace(3)] * 2, [PolarGrid(3.0, 4, 6)] * 2),
+}
+
+
+class TestBlockLabels:
+    # the numpy labelling against scipy's connected components: same blocks, same numbering
+    @pytest.mark.parametrize("name", sorted(GATE_SYSTEMS))
+    def test_gate_system_grams(self, name):
+        pattern = frame_core._mixed_gram(GATE_SYSTEMS[name]()) != 0
+        _, want = connected_components(pattern, directed=False)
+        assert np.array_equal(frame_core._block_labels(pattern), want)
+
+    @pytest.mark.parametrize("n,density", [(1, 0.5), (7, 0.2), (60, 0.02), (200, 0.005),
+                                           (200, 0.05), (300, 0.0)])
+    def test_random_sparse_symmetric_patterns(self, n, density):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            pattern = rng.random((n, n)) < density
+            pattern |= pattern.T
+            _, want = connected_components(pattern, directed=False)
+            assert np.array_equal(frame_core._block_labels(pattern), want)
 
 
 class TestRegularizer:

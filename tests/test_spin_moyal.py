@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import loop_reference
 from coorbit.frame_core import analyze, frame_bounds, roundtrip
 from coorbit.opalg import DensityMatrix, Operator, hs_inner
 from coorbit.spin_moyal import (
     SpinParams,
+    _angular_momentum,
     dual_coefficients,
     kernel_direct,
     kernel_dual,
@@ -82,6 +85,26 @@ class TestRotationOperator:
                 SpinParams(3), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
             ).entries
             assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+
+    @pytest.mark.parametrize("two_s", [1, 2, 5, 10, 16])
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    def test_matches_scipy_expm(self, two_s, phi):
+        p = SpinParams(two_s)
+        for theta in np.linspace(0, math.pi, 7):
+            got = rotation_operator(p, theta, phi).entries
+            assert np.abs(got - loop_reference.rotation_expm(p, theta, phi)).max() < 1e-14
+
+    @pytest.mark.parametrize("two_s", [1, 6, 16])
+    def test_matches_extended_precision_expm(self, two_s):
+        # 40-digit mpmath expm of the generator; the eigh route stays within 2e-15
+        p = SpinParams(two_s)
+        jx, jy = _angular_momentum(p)
+        for theta, phi in ((0.4, 0.0), (2.9, 1.3)):
+            gen = -math.sin(phi) * jx + math.cos(phi) * jy
+            with mpmath.workdps(40):
+                e = mpmath.expm(mpmath.matrix((-1j * theta * gen).tolist()))
+                want = np.array(e.tolist(), dtype=complex)
+            assert np.abs(rotation_operator(p, theta, phi).entries - want).max() <= 2e-15
 
 
 class TestKernels:
@@ -216,7 +239,7 @@ class TestMoyalSystem:
 
     @pytest.mark.parametrize("two_s", [1, 2, 5, 10, 16])
     def test_slices_bit_equal_to_kernels(self, two_s):
-        # one batched expm over theta gives the same bytes as one rotation per kernel
+        # one batched rotation stack over theta gives the same bytes as one rotation per kernel
         p = SpinParams(two_s)
         grid = sphere_grid(p)
         sys = moyal_system(p, grid)

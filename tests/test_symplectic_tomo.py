@@ -217,3 +217,12 @@ class TestWignerConsistency:
         b = fock_state(16, 1).op.entries
         rho = DensityMatrix(Operator(0.7 * a + 0.3 * b))
         assert marginal_wigner_consistency(rho, FockSpace(16)) < 1e-3
+
+    @pytest.mark.parametrize("mu,nu", [(1.0, 0.0), (0.6, 0.8), (-0.9, 1.4)])
+    def test_batched_points_match_point_loop(self, mu, nu):
+        # one displacement stack for every point against one wigner_point call per point
+        rho = coherent_density(16, 0.4 - 0.2j)
+        x_nodes = np.linspace(-3, 3, 13)
+        got = marginal_wigner_consistency(rho, FockSpace(16), mu, nu, x_nodes, n_t=40)
+        want = loop_reference.marginal_wigner_consistency(rho, mu, nu, x_nodes, 40)
+        assert abs(got - want) <= 1e-13
