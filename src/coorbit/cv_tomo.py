@@ -27,6 +27,7 @@ from .frame_core import singular_admissibility, slice_major_grid, synthesize
 from .opalg import DensityMatrix, Operator
 
 PAD = 16  # extra Fock levels for products that suffer truncation edge effects
+WIGNER_CHUNK = 1 << 18  # matrix entries per displacement stack in wigner_points
 
 
 @dataclass(frozen=True)
@@ -248,16 +249,21 @@ def displaced_parity_closed(f: FockSpace, alpha: complex) -> Operator:
 
 
 def wigner_points(rho: DensityMatrix, q, p) -> np.ndarray:
-    """Wigner density at every point (q[i], p[i]), from one displacement stack.
+    """Wigner density at every point (q[i], p[i]), from displacement stacks.
 
     W(q, p) = (1/pi) Tr[rho D(2 alpha) P] with alpha = (q + ip) / sqrt(2),
     normalized so the double integral over (q, p) is Tr rho; vacuum gives
-    (1/pi) e^{-(q^2 + p^2)}.
+    (1/pi) e^{-(q^2 + p^2)}. Points are evaluated WIGNER_CHUNK matrix entries at a time.
     """
-    alphas = (np.asarray(q, dtype=float) + 1j * np.asarray(p, dtype=float)) / math.sqrt(2)
+    alphas = (np.asarray(q, dtype=float) + 1j * np.asarray(p, dtype=float)).ravel() / math.sqrt(2)
     parity = (-1.0) ** np.arange(rho.dim)  # P is diagonal, so D P scales columns
-    dp = displacements(rho.dim, 2 * alphas) * parity
-    return np.einsum("nab,ba->n", dp, rho.op.entries).real / math.pi
+    n, step = len(alphas), max(2, WIGNER_CHUNK // rho.dim**2)
+    out = np.empty(n)
+    for start in range(0, n, step):
+        i = max(min(start, n - step), 0)  # full-size: einsum sums a lone point in another order
+        dp = displacements(rho.dim, 2 * alphas[i : i + step]) * parity
+        out[i : i + step] = np.einsum("nab,ba->n", dp, rho.op.entries).real / math.pi
+    return out
 
 
 def wigner_point(rho: DensityMatrix, q: float, p: float) -> float:

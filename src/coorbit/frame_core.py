@@ -10,11 +10,13 @@ the circle is uniform by construction; families without that U(1) covariance
 have one slice per node (n_phi = 1). A system checks that the weights do not
 depend on phi and that charge differences are integers. Families are
 normalized (admissibility constant 1), so the round trip needs no constant.
-Sampling, resummation and the frame-bound Gram are matrix products against
-the slices; only the two-mode builder expands a family to one matrix per
-node (:func:`expand_family`). The Gram is diagonalized one connected block
-of its nonzero pattern at a time, found by a numpy breadth-first labelling.
-Instantiations supply grids, slices, charges.
+Each system builds one layout per family, once: the (a, b) entries in order
+of c_a - c_b, the conjugated slices in that order and e^{-i phi delta}.
+Sampling is a gather, a product, a segmented sum and one small GEMM, and
+resummation its adjoint; the slice-sized contractions stay off BLAS. The
+frame-bound Gram is diagonalized one connected block of its nonzero pattern
+at a time. Instantiations supply grids, slices, charges; only the two-mode
+builder expands a family to one matrix per node (:func:`expand_family`).
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ class TomographicSystem:
     ``synthesis(node)`` are read-only views returning one node's Operator;
     the engine never calls them. ``vacuum`` (of dimension ``dim``) seeds the
     synthesis family, and the ``test_functional`` operator L0 realizes the
-    analysis functional through the trace pairing.
+    analysis functional through the trace pairing. Each family's layout is
+    cached on first use; a self-dual system (the same family object) has one.
     """
 
     grid: IndexGrid
@@ -175,6 +178,15 @@ class TomographicSystem:
     def phis(self) -> np.ndarray:
         return phase_circle(len(self.grid) // len(self.analysis_family.slices))
 
+    @cached_property
+    def _analysis_layout(self) -> _Layout:
+        return _layout(self.analysis_family, self.phis)
+
+    @cached_property
+    def _synthesis_layout(self) -> _Layout:
+        same = self.synthesis_family is self.analysis_family
+        return self._analysis_layout if same else _layout(self.synthesis_family, self.phis)
+
 
 def _node_view(nodes: tuple, phis: np.ndarray, family: SliceFamily):
     def at(node) -> Operator:
@@ -190,35 +202,41 @@ def _flat_differences(charges) -> np.ndarray:
     return np.subtract.outer(charges, charges).ravel()
 
 
-def _charge_differences(charges):
-    """Distinct values of c_a - c_b, and the index of each flat (a, b) entry's value."""
-    return np.unique(_flat_differences(charges), return_inverse=True)
+class _Layout(NamedTuple):
+    """A family's flat (a, b) entries grouped by charge difference c_a - c_b."""
+
+    order: np.ndarray  # stable order of the flat entries by charge difference
+    starts: np.ndarray  # first position of each distinct difference in that order
+    inverse: np.ndarray  # index of each flat entry's difference
+    conj_slices: np.ndarray  # (n_s, d * d) conjugated slices, in that order
+    phases: np.ndarray  # (n_delta, n_phi) e^{-i phi delta}
 
 
-def _samples(family: SliceFamily, phis: np.ndarray, o: Operator) -> np.ndarray:
+def _layout(family: SliceFamily, phis: np.ndarray) -> _Layout:
+    deltas, inverse = np.unique(_flat_differences(family.charges), return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(len(deltas)))
+    conj_slices = np.reshape(family.slices, (len(family.slices), -1))[:, order].conj()
+    phases = np.exp(-1j * np.multiply.outer(deltas, phis))
+    return _Layout(order, starts, inverse, conj_slices, phases)
+
+
+def _samples(layout: _Layout, o: Operator) -> np.ndarray:
     """Tr(o F_k^dag) for node k = (s, phi): sum_delta G(s, delta) e^{-i phi delta}.
 
     G(s, delta) sums the entries (a, b) of conj(S_s) o with c_a - c_b = delta.
     """
-    n_s, dim, _ = np.shape(family.slices)
-    if o.dim != dim:
-        raise ValueError(f"dimension mismatch: operator {o.dim}, system {dim}")
-    deltas, inv = _charge_differences(family.charges)
-    order = np.argsort(inv, kind="stable")
-    m = np.reshape(family.slices, (n_s, -1))[:, order]
-    np.conj(m, out=m)
-    m *= o.entries.ravel()[order]
-    g = np.add.reduceat(m, np.searchsorted(inv[order], np.arange(len(deltas))), axis=1)
-    return (g @ np.exp(-1j * np.multiply.outer(deltas, phis))).ravel()
+    if o.dim**2 != len(layout.order):
+        raise ValueError(f"dimension mismatch: operator {o.dim}, system dim^2 {len(layout.order)}")
+    m = layout.conj_slices * o.entries.ravel()[layout.order]
+    return (np.add.reduceat(m, layout.starts, axis=1) @ layout.phases).ravel()
 
 
-def _resum(family: SliceFamily, phis: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _resum(family: SliceFamily, layout: _Layout, c: np.ndarray) -> np.ndarray:
     """sum_k c_k F_k = sum_s S_s * C(s, c_a - c_b), C(s, delta) = sum_phi c e^{i phi delta}."""
     n_s, dim, _ = np.shape(family.slices)
-    deltas, inv = _charge_differences(family.charges)
-    p = (c.reshape(n_s, len(phis)) @ np.exp(1j * np.multiply.outer(phis, deltas)))[:, inv]
-    p *= np.reshape(family.slices, (n_s, -1))
-    return p.sum(axis=0).reshape(dim, dim)
+    p = (c.reshape(n_s, -1) @ layout.phases.T.conj())[:, layout.inverse]
+    return np.einsum("sj,sj->j", p, np.reshape(family.slices, (n_s, -1))).reshape(dim, dim)
 
 
 def expand_family(family: SliceFamily, phis: np.ndarray) -> np.ndarray:
@@ -240,14 +258,15 @@ def analyze(sys: TomographicSystem, o: Operator) -> SampleVector:
 
     values[k] = Tr(o F_k^dag); linear in o.
     """
-    return SampleVector(_samples(sys.analysis_family, sys.phis, o), sys.grid.grid_id)
+    return SampleVector(_samples(sys._analysis_layout, o), sys.grid.grid_id)
 
 
 def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
     """Weighted resummation of samples over the synthesis family."""
     if s.grid_id != sys.grid.grid_id or len(s.values) != len(sys.grid):
         raise ValueError("sample vector is not aligned with the system grid")
-    return Operator(_resum(sys.synthesis_family, sys.phis, sys.grid.weights * s.values))
+    weighted = sys.grid.weights * s.values
+    return Operator(_resum(sys.synthesis_family, sys._synthesis_layout, weighted))
 
 
 def roundtrip(sys: TomographicSystem, o: Operator):
@@ -267,8 +286,8 @@ def admissibility_constant(
     otherwise). ``b0p`` replaces the system vacuum on the analysis side,
     covering the primed-vacuum variant.
     """
-    a = _samples(sys.analysis_family, sys.phis, b0p)
-    g = _samples(sys.synthesis_family, sys.phis, l0p)
+    a = _samples(sys._analysis_layout, b0p)
+    g = _samples(sys._synthesis_layout, l0p)
     c = complex(np.sum(sys.grid.weights * a * g.conj()))
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("admissibility quadrature diverged (non-admissible system)")
@@ -289,9 +308,9 @@ def singular_admissibility(
     """
     if family not in ("synthesis", "analysis"):
         raise ValueError(f"unknown family {family!r}")
-    fam = sys.synthesis_family if family == "synthesis" else sys.analysis_family
-    p = _samples(fam, sys.phis, probe)
-    l0 = _samples(fam, sys.phis, sys.test_functional)
+    layout = sys._synthesis_layout if family == "synthesis" else sys._analysis_layout
+    p = _samples(layout, probe)
+    l0 = _samples(layout, sys.test_functional)
     total = complex(np.sum(sys.grid.weights * p * l0.conj()))
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise ValueError("singular admissibility quadrature diverged")

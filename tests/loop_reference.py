@@ -10,7 +10,10 @@ operators, the ordered displacements and displaced parity of ``cv_tomo``
 as products of padded matrices cropped to d, and the marginal/Wigner
 line integrals one Wigner point at a time. It also keeps the scipy paths
 that the package replaced with numpy: the Laguerre displacement from
-``scipy.special`` and the spin rotation from ``scipy.linalg.expm``.
+``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
+engine's sampling and resummation as they were before each system cached
+its charge-difference layout: grouped, conjugated and exponentiated anew on
+every call.
 """
 
 import math
@@ -192,3 +195,32 @@ def marginal_wigner_consistency(rho, mu, nu, X_nodes, n_t):
         )
         worst = max(worst, abs(line / s - w_direct))
     return worst
+
+
+def _charge_differences(charges):
+    """Distinct values of c_a - c_b, and the index of each flat (a, b) entry's value."""
+    return np.unique(np.subtract.outer(charges, charges).ravel(), return_inverse=True)
+
+
+def samples(family, phis, o):
+    """Tr(o F_k^dag) for node k = (s, phi): sum_delta G(s, delta) e^{-i phi delta}.
+
+    G(s, delta) sums the entries (a, b) of conj(S_s) o with c_a - c_b = delta.
+    """
+    n_s = len(family.slices)
+    deltas, inv = _charge_differences(family.charges)
+    order = np.argsort(inv, kind="stable")
+    m = np.reshape(family.slices, (n_s, -1))[:, order]
+    np.conj(m, out=m)
+    m *= o.entries.ravel()[order]
+    g = np.add.reduceat(m, np.searchsorted(inv[order], np.arange(len(deltas))), axis=1)
+    return (g @ np.exp(-1j * np.multiply.outer(deltas, phis))).ravel()
+
+
+def resum(family, phis, c):
+    """sum_k c_k F_k = sum_s S_s * C(s, c_a - c_b), C(s, delta) = sum_phi c e^{i phi delta}."""
+    n_s, dim, _ = np.shape(family.slices)
+    deltas, inv = _charge_differences(family.charges)
+    p = (c.reshape(n_s, len(phis)) @ np.exp(1j * np.multiply.outer(phis, deltas)))[:, inv]
+    p *= np.reshape(family.slices, (n_s, -1))
+    return p.sum(axis=0).reshape(dim, dim)

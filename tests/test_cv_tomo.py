@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import loop_reference
+from coorbit import cv_tomo
 from coorbit.frame_core import frame_bounds, roundtrip, singular_admissibility
 from coorbit.cv_tomo import (
     FockSpace,
@@ -38,6 +40,7 @@ from coorbit.opalg import (
     fidelity,
     matrix_exp,
 )
+from coorbit.symplectic_tomo import marginal_wigner_consistency
 
 
 def fock_state(d, n):
@@ -313,6 +316,27 @@ class TestDisplacedParity:
             FockSpace(12), (a + 1j * b) / math.sqrt(2)).entries).real / (2 * math.pi)
             for a, b in zip(q, p)]
         assert np.abs(wigner_points(rho, q, p) - want).max() < 1e-15
+
+    def test_wigner_chunks_bit_identical_to_one_stack(self, monkeypatch):
+        # every chunk size from 1 point (run as 2) to all 10, against one stack
+        rho = coherent_density(6, 0.4 - 0.2j)
+        q, p = np.linspace(-2, 2, 10), np.linspace(1.5, -1, 10)
+        monkeypatch.setattr(cv_tomo, "WIGNER_CHUNK", 10 * 36)
+        whole = wigner_points(rho, q, p)
+        for points in range(1, 10):
+            monkeypatch.setattr(cv_tomo, "WIGNER_CHUNK", points * 36)
+            assert np.array_equal(wigner_points(rho, q, p), whole), points
+
+    def test_wigner_consistency_memory_bounded(self):
+        # 13 x 120 points at d 48 held about 139 MB as one displacement stack
+        rho = coherent_density(48, 0.7 - 0.4j)
+        tracemalloc.start()
+        try:
+            marginal_wigner_consistency(rho, FockSpace(48))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 class TestQFunction:

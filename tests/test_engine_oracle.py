@@ -3,7 +3,9 @@
 Each case pairs a system with per-node callables built from the closed-form
 operators (not from the slices), so the check covers the charges and the
 node order as well as the contractions. Agreement is required to 1e-13
-relative to the largest |value| or entry of the reference.
+relative to the largest |value| or entry of the reference. The cached
+charge-difference layout is also checked against the per-call regrouping
+of ``loop_reference`` on both families of every case.
 """
 
 import math
@@ -15,6 +17,7 @@ import kahan_reference as ref
 import loop_reference
 from coorbit.cv_tomo import FockSpace, PolarGrid, displacement_cv, homodyne_system, multimode_system
 from coorbit.discrete_ps import displacement_discrete, heisenberg_finite_system
+from coorbit import frame_core
 from coorbit.frame_core import (
     SampleVector,
     admissibility_constant,
@@ -150,3 +153,26 @@ def test_frame_bounds_match_full_gram(case):
     assert abs(report.gram_spectrum_min - lo) <= TOL * scale
     assert abs(report.gram_spectrum_max - hi) <= TOL * scale
     assert report.A == math.sqrt(max(report.gram_spectrum_min, 0.0))
+
+
+LAYOUT_CASES = {
+    **{name: (lambda build=build: build()[0]) for name, build in CASES.items()},
+    # n_phi 6 < 2d - 1 charge differences, so differences alias on the circle
+    "homodyne-aliased": lambda: homodyne_system(FockSpace(8), PolarGrid(3.0, 5, 6)),
+    # the size of the stream benchmark workload
+    "homodyne-stream": lambda: homodyne_system(FockSpace(32), PolarGrid(6.0, 48, 64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_layout_matches_per_call_regrouping(name):
+    sys = LAYOUT_CASES[name]()
+    rng = np.random.default_rng(4)
+    o = _random_operator(rng, sys.dim)
+    c = rng.normal(size=len(sys.grid)) + 1j * rng.normal(size=len(sys.grid))
+    for family, layout in ((sys.analysis_family, sys._analysis_layout),
+                           (sys.synthesis_family, sys._synthesis_layout)):
+        assert _close(frame_core._samples(layout, o),
+                      loop_reference.samples(family, sys.phis, o))
+        assert _close(frame_core._resum(family, layout, c),
+                      loop_reference.resum(family, sys.phis, c))

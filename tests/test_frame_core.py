@@ -116,6 +116,13 @@ class TestAnalyzeSynthesize:
         direct = al * analyze(sys, a).values + be * analyze(sys, b).values
         assert np.abs(combo.values - direct).max() < 1e-12
 
+    def test_analyze_rejects_wrong_dimension(self):
+        sys = heisenberg_finite_system(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            analyze(sys, Operator(np.eye(2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            admissibility_constant(sys, sys.vacuum, Operator(np.eye(4)))
+
     def test_synthesize_zero_samples(self):
         sys = heisenberg_finite_system(2)
         s = SampleVector(np.zeros(4, dtype=complex), sys.grid.grid_id)
@@ -145,6 +152,38 @@ class TestAnalyzeSynthesize:
         lhs = hs_inner(synthesize(sys, s), o)
         rhs = np.sum(sys.grid.weights * np.conj(s.values) * analyze(sys, o).values)
         assert abs(lhs - rhs) < 1e-10
+
+
+class TestLayout:
+    @pytest.fixture
+    def layout_calls(self, monkeypatch):
+        calls = []
+        build = frame_core._layout
+
+        def counted(family, phis):
+            calls.append(family)
+            return build(family, phis)
+
+        monkeypatch.setattr(frame_core, "_layout", counted)
+        return calls
+
+    def test_self_dual_system_builds_one_layout(self, layout_calls):
+        sys = homodyne_system(FockSpace(6), PolarGrid(3.0, 8, 12))
+        assert layout_calls == []
+        rho = random_state(np.random.default_rng(7), 6)
+        analyze(sys, rho)
+        synthesize(sys, analyze(sys, rho))
+        admissibility_constant(sys, sys.vacuum, sys.test_functional)
+        assert layout_calls == [sys.analysis_family]
+
+    def test_dual_pair_builds_two_layouts(self, layout_calls):
+        p = SpinParams(4)
+        sys = moyal_system(p, sphere_grid(p))
+        rho = random_state(np.random.default_rng(8), sys.dim)
+        roundtrip(sys, rho)
+        roundtrip(sys, rho)
+        admissibility_constant(sys, sys.vacuum, sys.test_functional)
+        assert layout_calls == [sys.analysis_family, sys.synthesis_family]
 
 
 class TestRoundtrip:
