@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class PolarGrid:
         if self.R <= 0 or self.n_r < 1 or self.n_phi < 1:
             raise ValueError("polar grid needs R > 0 and positive node counts")
 
-    @property
+    @cached_property
     def radial(self):
         x, w = np.polynomial.legendre.leggauss(self.n_r)
         return (x + 1) * self.R / 2, w * self.R / 2
@@ -257,12 +257,12 @@ def wigner_points(rho: DensityMatrix, q, p) -> np.ndarray:
     """
     alphas = (np.asarray(q, dtype=float) + 1j * np.asarray(p, dtype=float)).ravel() / math.sqrt(2)
     parity = (-1.0) ** np.arange(rho.dim)  # P is diagonal, so D P scales columns
-    n, step = len(alphas), max(2, WIGNER_CHUNK // rho.dim**2)
+    n, step = len(alphas), max(1, WIGNER_CHUNK // rho.dim**2)
     out = np.empty(n)
-    for start in range(0, n, step):
-        i = max(min(start, n - step), 0)  # full-size: einsum sums a lone point in another order
+    for i in range(0, n, step):
         dp = displacements(rho.dim, 2 * alphas[i : i + step]) * parity
-        out[i : i + step] = np.einsum("nab,ba->n", dp, rho.op.entries).real / math.pi
+        flat = np.einsum("nj,j->n", dp.reshape(len(dp), -1), rho.op.entries.T.ravel())
+        out[i : i + step] = flat.real / math.pi  # one dot per point, alone or in a stack
     return out
 
 

@@ -10,13 +10,23 @@ the circle is uniform by construction; families without that U(1) covariance
 have one slice per node (n_phi = 1). A system checks that the weights do not
 depend on phi and that charge differences are integers. Families are
 normalized (admissibility constant 1), so the round trip needs no constant.
-Each system builds one layout per family, once: the (a, b) entries in order
-of c_a - c_b, the conjugated slices in that order and e^{-i phi delta}.
-Sampling is a gather, a product, a segmented sum and one small GEMM, and
-resummation its adjoint; the slice-sized contractions stay off BLAS. The
-frame-bound Gram is diagonalized one connected block of its nonzero pattern
-at a time. Instantiations supply grids, slices, charges; only the two-mode
-builder expands a family to one matrix per node (:func:`expand_family`).
+
+A system caches what it reads on first use. :func:`analyze`,
+:func:`synthesize` and :func:`singular_admissibility` read one layout per
+family: the (a, b) entries in order of c_a - c_b, the conjugated slices in
+that order and e^{-i phi delta}; sampling is a gather, a product, a segmented
+sum and one small GEMM, and resummation its adjoint. :func:`roundtrip`,
+:func:`admissibility_constant` and :func:`frame_bounds` read the frame operator
+S = sum_k w_k vec(G_k) vec(F_k)^dag (analysis, then synthesis). S couples
+entries of G and F only where their charge differences agree mod n_phi, so it
+is held as one zero-padded block per class (one when n_phi = 1), built class
+by class from the phase-0 slices with factor n_phi w_s. The round trip is a
+gather, one batched block product and a scatter; admissibility is
+<l0p, S b0p>; frame bounds scatter the blocks into the Gram and diagonalize it
+one connected block of its nonzero pattern at a time. Slice-sized
+contractions stay off BLAS. Instantiations supply grids, slices, charges; only
+the two-mode builder expands a family to one matrix per node
+(:func:`expand_family`).
 """
 
 from __future__ import annotations
@@ -141,8 +151,9 @@ class TomographicSystem:
     ``synthesis(node)`` are read-only views returning one node's Operator;
     the engine never calls them. ``vacuum`` (of dimension ``dim``) seeds the
     synthesis family, and the ``test_functional`` operator L0 realizes the
-    analysis functional through the trace pairing. Each family's layout is
-    cached on first use; a self-dual system (the same family object) has one.
+    analysis functional through the trace pairing. Each family's layout and
+    the frame operator are cached on first use; a self-dual system (the same
+    family object) has one layout.
     """
 
     grid: IndexGrid
@@ -186,6 +197,10 @@ class TomographicSystem:
     def _synthesis_layout(self) -> _Layout:
         same = self.synthesis_family is self.analysis_family
         return self._analysis_layout if same else _layout(self.synthesis_family, self.phis)
+
+    @cached_property
+    def _frame(self) -> _FrameOperator:
+        return _frame_operator(self)
 
 
 def _node_view(nodes: tuple, phis: np.ndarray, family: SliceFamily):
@@ -239,6 +254,42 @@ def _resum(family: SliceFamily, layout: _Layout, c: np.ndarray) -> np.ndarray:
     return np.einsum("sj,sj->j", p, np.reshape(family.slices, (n_s, -1))).reshape(dim, dim)
 
 
+class _FrameOperator(NamedTuple):
+    """S = sum_k w_k vec(G_k) vec(F_k)^dag, one zero-padded block per charge class."""
+
+    rows: np.ndarray  # (n_class, m) flat entries of G in each class, padded with dim^2
+    cols: np.ndarray  # (n_class, m) flat entries of F in each class, padded with dim^2
+    blocks: np.ndarray  # (n_class, m, m) S[rows, cols], zero in the padding
+
+
+def _frame_operator(sys: TomographicSystem) -> _FrameOperator:
+    """S from the phase-0 slices; the phi sum is n_phi where the classes agree, else 0."""
+    n_phi, n = len(sys.phis), sys.dim**2
+    g, f = sys.synthesis_family, sys.analysis_family
+    w = n_phi * sys.grid.weights[::n_phi, None]
+    vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (g, f))
+    key_g, key_f = (_flat_differences(fam.charges) % n_phi for fam in (g, f))
+    classes = [(np.flatnonzero(key_g == k), np.flatnonzero(key_f == k))
+               for k in sorted({*key_g.tolist(), *key_f.tolist()})]
+    m = max(max(len(r), len(c)) for r, c in classes)
+    rows, cols = np.full((2, len(classes), m), n)
+    blocks = np.zeros((len(classes), m, m), dtype=complex)
+    for i, (r, c) in enumerate(classes):
+        rows[i, : len(r)], cols[i, : len(c)] = r, c
+        blocks[i, : len(r), : len(c)] = np.einsum("si,sj->ij", vg[:, r] * w, vf[:, c].conj())
+    return _FrameOperator(rows, cols, blocks)
+
+
+def _apply_frame(sys: TomographicSystem, o: Operator) -> np.ndarray:
+    """S vec(o): a gather, one batched block product and a scatter."""
+    if o.dim != sys.dim:
+        raise ValueError(f"dimension mismatch: operator {o.dim}, system {sys.dim}")
+    frame, n = sys._frame, sys.dim**2
+    out = np.empty(n + 1, dtype=complex)
+    out[frame.rows] = np.einsum("kij,kj->ki", frame.blocks, np.append(o.entries, 0)[frame.cols])
+    return out[:n].reshape(sys.dim, sys.dim)
+
+
 def expand_family(family: SliceFamily, phis: np.ndarray) -> np.ndarray:
     """Dense (n_s * len(phis), d, d) stack of the family in node order."""
     n_s, d, _ = np.shape(family.slices)
@@ -270,8 +321,8 @@ def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
 
 
 def roundtrip(sys: TomographicSystem, o: Operator):
-    """synthesize(analyze(o)) and its Hilbert-Schmidt error against o."""
-    rec = synthesize(sys, analyze(sys, o))
+    """synthesize(analyze(o)), read from the frame operator, and its Hilbert-Schmidt error."""
+    rec = Operator(_apply_frame(sys, o))
     return rec, float(np.linalg.norm(rec.entries - o.entries))
 
 
@@ -280,18 +331,16 @@ def admissibility_constant(
 ) -> AdmissibilityResult:
     """Quadrature admissibility constant for a vacuum/functional pair.
 
-    C = sum_k w_k <F_k, b0p> <l0p, G_k> over the analysis family F and the
-    synthesis family G, together with the projection constant
+    C = sum_k w_k <F_k, b0p> <l0p, G_k> = <l0p, S b0p> over the analysis
+    family F and the synthesis family G, together with the projection constant
     P = C / <l0p, sys.vacuum> when the denominator is nonzero (NaN
     otherwise). ``b0p`` replaces the system vacuum on the analysis side,
     covering the primed-vacuum variant.
     """
-    a = _samples(sys._analysis_layout, b0p)
-    g = _samples(sys._synthesis_layout, l0p)
-    c = complex(np.sum(sys.grid.weights * a * g.conj()))
+    denom = hs_inner(l0p, sys.vacuum)  # checks the dimension of l0p
+    c = complex(np.einsum("ij,ij->", l0p.entries.conj(), _apply_frame(sys, b0p)))
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("admissibility quadrature diverged (non-admissible system)")
-    denom = hs_inner(l0p, sys.vacuum)
     proj = c / denom if abs(denom) > 1e-14 else complex("nan")
     return AdmissibilityResult(c, proj)
 
@@ -388,20 +437,11 @@ def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
 
 
 def _mixed_gram(sys: TomographicSystem) -> np.ndarray:
-    """(S + S^dag) / 2 for S = sum_k w_k vec(G_k) vec(F_k)^dag, from the phase-0 slices.
-
-    On the uniform phi circle the phi sum is n_phi times the phase-0 term
-    where the charge differences of G and F agree modulo n_phi, and 0
-    elsewhere.
-    """
-    dim, n_phi = sys.dim, len(sys.phis)
-    g, f = sys.synthesis_family, sys.analysis_family
-    w = n_phi * sys.grid.weights[::n_phi, None]
-    vg, vf = (np.reshape(fam.slices, (-1, dim * dim)) for fam in (g, f))
-    gram = (vg * w).T @ vf.conj()
-    key_g, key_f = (_flat_differences(fam.charges) % n_phi for fam in (g, f))
-    gram[key_g[:, None] != key_f[None, :]] = 0
-    return (gram + gram.conj().T) / 2
+    """(S + S^dag) / 2 as a dim^2 x dim^2 matrix, scattered from the frame operator's blocks."""
+    frame, n = sys._frame, sys.dim**2
+    gram = np.zeros((n + 1, n + 1), dtype=complex)
+    gram[frame.rows[:, :, None], frame.cols[:, None, :]] = frame.blocks
+    return (gram[:n, :n] + gram[:n, :n].conj().T) / 2
 
 
 def frame_bounds(
@@ -409,8 +449,8 @@ def frame_bounds(
 ) -> FrameReport:
     """Frame bounds of the analysis/synthesis pair.
 
-    For d = 2 the mixed Gram superoperator S = sum_k w_k vec(G_k) vec(F_k)^dag
-    is assembled as a dim^2 x dim^2 matrix, symmetrized and diagonalized one
+    For d = 2 the frame operator S = sum_k w_k vec(G_k) vec(F_k)^dag is
+    scattered into a dim^2 x dim^2 matrix, symmetrized and diagonalized one
     connected block at a time (:func:`_mixed_gram`); A and B are the square
     roots of its extreme eigenvalues. For d != 2 the bounds are sampled
     empirically over random unit-norm operators (estimates, not certificates).

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_core import IndexGrid, SliceFamily, TomographicSystem, analyze
-from .frame_core import singular_admissibility, slice_major_grid, synthesize
+from .frame_core import IndexGrid, SliceFamily, TomographicSystem, roundtrip
+from .frame_core import singular_admissibility, slice_major_grid
 from .opalg import DensityMatrix, Operator
 
 INTERIOR_MARGIN = 2  # top levels excluded from algebra assertions
@@ -189,7 +189,7 @@ def _pairing(sys: TomographicSystem, indices) -> complex:
         raise ValueError("indices must sit at least two levels below the cutoff")
     unit = np.zeros((sys.dim, sys.dim))
     unit[m, n] = 1
-    return complex(synthesize(sys, analyze(sys, Operator(unit))).entries[l, q])
+    return complex(roundtrip(sys, Operator(unit))[0].entries[l, q])
 
 
 def biorthogonality_ladder(
@@ -221,8 +221,7 @@ def reconstruct_su11(rho: DensityMatrix, rep: DiscreteSeriesRep, grid: SUGrid) -
     onto that span — see the biorthogonality ladder for the matrix elements
     the pairing does resolve.
     """
-    sys = su11_system(rep, grid)
-    return synthesize(sys, analyze(sys, rho.op))
+    return roundtrip(su11_system(rep, grid), rho.op)[0]
 
 
 def thermal_probe(rep: DiscreteSeriesRep, b: float) -> Operator:

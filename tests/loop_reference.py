@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import eval_genlaguerre, gammaln
 
+from coorbit import frame_core
 from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator, wigner_point
 from coorbit.opalg import Operator, matrix_exp
 from coorbit.discrete_ps import displacement_discrete, point_operator
@@ -224,3 +225,27 @@ def resum(family, phis, c):
     p = (c.reshape(n_s, len(phis)) @ np.exp(1j * np.multiply.outer(phis, deltas)))[:, inv]
     p *= np.reshape(family.slices, (n_s, -1))
     return p.sum(axis=0).reshape(dim, dim)
+
+
+def roundtrip(sys, o):
+    """synthesize(analyze(o)) through the per-family layouts: every node sampled, then resummed."""
+    return frame_core.synthesize(sys, frame_core.analyze(sys, o)).entries
+
+
+def admissibility_constant(sys, b0p, l0p):
+    """sum_k w_k <F_k, b0p> <l0p, G_k> from the samples of both families at every node."""
+    a = frame_core._samples(sys._analysis_layout, b0p)
+    g = frame_core._samples(sys._synthesis_layout, l0p)
+    return complex(np.sum(sys.grid.weights * a * g.conj()))
+
+
+def mixed_gram(sys):
+    """(S + S^dag) / 2 from one dense product of the phase-0 slices and the charge mask."""
+    dim, n_phi = sys.dim, len(sys.phis)
+    g, f = sys.synthesis_family, sys.analysis_family
+    w = n_phi * sys.grid.weights[::n_phi, None]
+    vg, vf = (np.reshape(fam.slices, (-1, dim * dim)) for fam in (g, f))
+    gram = (vg * w).T @ vf.conj()
+    key_g, key_f = (np.subtract.outer(fam.charges, fam.charges).ravel() % n_phi for fam in (g, f))
+    gram[key_g[:, None] != key_f[None, :]] = 0
+    return (gram + gram.conj().T) / 2

@@ -236,6 +236,17 @@ class TestHomodyneSystem:
             9 / 2, abs=1e-12
         )
 
+    def test_radial_rule_computed_once_per_grid(self, monkeypatch):
+        # homodyne_system reads the radial nodes directly and through to_index_grid
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        grid = PolarGrid(3.0, 16, 8)
+        homodyne_system(FockSpace(6), grid)
+        homodyne_system(FockSpace(8), grid)
+        assert calls == [16]
+
     def test_phase_closure_matches_direct(self):
         # radial slices conjugated by e^{i phi n} equal a direct build at every node
         f = FockSpace(10)
@@ -317,8 +328,16 @@ class TestDisplacedParity:
             for a, b in zip(q, p)]
         assert np.abs(wigner_points(rho, q, p) - want).max() < 1e-15
 
+    def test_wigner_point_bit_identical_to_batch(self):
+        # one dot per point, so a lone point sums in the order of a stack of many
+        for d in (6, 13, 40):
+            rho = coherent_density(d, 0.4 - 0.2j)
+            q, p = np.linspace(-2, 2, 7), np.linspace(1.5, -1, 7)
+            batch = wigner_points(rho, q, p)
+            assert [wigner_point(rho, a, b) for a, b in zip(q, p)] == list(batch)
+
     def test_wigner_chunks_bit_identical_to_one_stack(self, monkeypatch):
-        # every chunk size from 1 point (run as 2) to all 10, against one stack
+        # every chunk size from 1 point to all 10, against one stack
         rho = coherent_density(6, 0.4 - 0.2j)
         q, p = np.linspace(-2, 2, 10), np.linspace(1.5, -1, 10)
         monkeypatch.setattr(cv_tomo, "WIGNER_CHUNK", 10 * 36)

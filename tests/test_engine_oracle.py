@@ -5,7 +5,10 @@ operators (not from the slices), so the check covers the charges and the
 node order as well as the contractions. Agreement is required to 1e-13
 relative to the largest |value| or entry of the reference. The cached
 charge-difference layout is also checked against the per-call regrouping
-of ``loop_reference`` on both families of every case.
+of ``loop_reference`` on both families of every case, and the cached frame
+operator behind ``roundtrip``, ``admissibility_constant`` and
+``frame_bounds`` against the sample path and the dense masked Gram kept
+there.
 """
 
 import math
@@ -23,6 +26,7 @@ from coorbit.frame_core import (
     admissibility_constant,
     analyze,
     frame_bounds,
+    roundtrip,
     singular_admissibility,
     synthesize,
 )
@@ -176,3 +180,44 @@ def test_layout_matches_per_call_regrouping(name):
                       loop_reference.samples(family, sys.phis, o))
         assert _close(frame_core._resum(family, layout, c),
                       loop_reference.resum(family, sys.phis, c))
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_roundtrip_matches_reference(name):
+    # Relative to the norm bound sum_k w_k |s_k| ||G_k|| of the resummed terms:
+    # the spin 2s = 10 dual pair cancels terms 646 times the result's norm, and
+    # both paths then err by ~2e-13 ||o|| from the exact identity.
+    sys = LAYOUT_CASES[name]()
+    o = _random_operator(np.random.default_rng(5), sys.dim)
+    want = loop_reference.roundtrip(sys, o)
+    s = analyze(sys, o).values
+    g = np.repeat(np.linalg.norm(sys.synthesis_family.slices, axis=(1, 2)), len(sys.phis))
+    rec, err = roundtrip(sys, o)
+    assert np.linalg.norm(rec.entries - want) <= TOL * np.sum(sys.grid.weights * np.abs(s) * g)
+    assert err == np.linalg.norm(rec.entries - o.entries)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_admissibility_matches_sample_path(name):
+    # relative to the norm bound sum_k w_k |<F_k, b0p>| |<l0p, G_k>| of the summed terms
+    sys = LAYOUT_CASES[name]()
+    rng = np.random.default_rng(6)
+    for b0p, l0p in ((sys.vacuum, sys.test_functional),
+                     (_random_operator(rng, sys.dim), _random_operator(rng, sys.dim))):
+        want = loop_reference.admissibility_constant(sys, b0p, l0p)
+        a = frame_core._samples(sys._analysis_layout, b0p)
+        g = frame_core._samples(sys._synthesis_layout, l0p)
+        scale = np.sum(sys.grid.weights * np.abs(a * g))
+        assert abs(admissibility_constant(sys, b0p, l0p).constant - want) <= TOL * scale
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_mixed_gram_matches_dense_product(name):
+    sys = LAYOUT_CASES[name]()
+    want = loop_reference.mixed_gram(sys)
+    assert _close(frame_core._mixed_gram(sys), want)
+    evals = np.linalg.eigvalsh(want)
+    report = frame_bounds(sys)
+    scale = np.abs(evals).max()
+    assert abs(report.gram_spectrum_min - evals[0]) <= TOL * scale
+    assert abs(report.gram_spectrum_max - evals[-1]) <= TOL * scale

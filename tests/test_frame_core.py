@@ -167,6 +167,18 @@ class TestLayout:
         monkeypatch.setattr(frame_core, "_layout", counted)
         return calls
 
+    @pytest.fixture
+    def frame_calls(self, monkeypatch):
+        calls = []
+        build = frame_core._frame_operator
+
+        def counted(sys):
+            calls.append(sys)
+            return build(sys)
+
+        monkeypatch.setattr(frame_core, "_frame_operator", counted)
+        return calls
+
     def test_self_dual_system_builds_one_layout(self, layout_calls):
         sys = homodyne_system(FockSpace(6), PolarGrid(3.0, 8, 12))
         assert layout_calls == []
@@ -176,14 +188,26 @@ class TestLayout:
         admissibility_constant(sys, sys.vacuum, sys.test_functional)
         assert layout_calls == [sys.analysis_family]
 
-    def test_dual_pair_builds_two_layouts(self, layout_calls):
+    def test_dual_pair_builds_one_frame_operator(self, layout_calls, frame_calls):
+        # roundtrip, admissibility_constant and frame_bounds read the cached S only
         p = SpinParams(4)
         sys = moyal_system(p, sphere_grid(p))
         rho = random_state(np.random.default_rng(8), sys.dim)
         roundtrip(sys, rho)
         roundtrip(sys, rho)
         admissibility_constant(sys, sys.vacuum, sys.test_functional)
-        assert layout_calls == [sys.analysis_family, sys.synthesis_family]
+        frame_bounds(sys)
+        assert frame_calls == [sys]
+        assert layout_calls == []
+
+    def test_two_mode_roundtrip_builds_no_layout(self, layout_calls, frame_calls):
+        # a layout would hold a conjugated copy of the n1 * n_r2 expanded slices
+        sys = multimode_system([FockSpace(4)] * 2, [PolarGrid(5.0, 12, 16)] * 2)
+        rho = random_state(np.random.default_rng(9), sys.dim)
+        _, err = roundtrip(sys, rho)
+        assert err < 1e-3
+        assert frame_calls == [sys]
+        assert layout_calls == []
 
 
 class TestRoundtrip:

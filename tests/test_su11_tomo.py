@@ -284,6 +284,24 @@ class TestSystem:
         )
         assert np.abs(rec - rec_sum).max() < 1e-10
 
+    def test_roundtrip_matches_sample_path_aliased(self):
+        # n_phi 8 aliases the charge differences of B (+r) and pi (-r) at cutoff 10;
+        # the pairings and the reconstruction read the frame operator
+        rep = DiscreteSeriesRep(1.0, 10)
+        grid = SUGrid(4.0, 30, 8)
+        sys = su11_system(rep, grid)
+        rho = DensityMatrix(Operator(np.diag(np.linspace(1.0, 0.1, 10) / 5.5)))
+        want = loop_reference.roundtrip(sys, rho.op)
+        rec = reconstruct_su11(rho, rep, grid).entries
+        assert np.linalg.norm(rec - want) <= 1e-13 * np.linalg.norm(want)
+        for indices in ((0, 0, 0, 0), (0, 1, 0, 0), (2, 1, 2, 3), (1, 3, 3, 1)):
+            m, n, l, q = indices
+            unit = np.zeros((10, 10))
+            unit[m, n] = 1
+            want = loop_reference.roundtrip(sys, Operator(unit))
+            got = biorthogonality_check(rep, grid, indices)
+            assert abs(got - want[l, q]) <= 1e-13 * np.linalg.norm(want)
+
     def test_reconstruction_lies_in_algebra_span(self):
         # output is always a combination of Kz, K+, K- (plus nothing else)
         rep = DiscreteSeriesRep(1.0, 8)
