@@ -18,15 +18,15 @@ that order and e^{-i phi delta}; sampling is a gather, a product, a segmented
 sum and one small GEMM, and resummation its adjoint. :func:`roundtrip`,
 :func:`admissibility_constant` and :func:`frame_bounds` read the frame operator
 S = sum_k w_k vec(G_k) vec(F_k)^dag (analysis, then synthesis). S couples
-entries of G and F only where their charge differences agree mod n_phi, so it
-is held as one zero-padded block per class (one when n_phi = 1), built class
-by class from the phase-0 slices with factor n_phi w_s. The round trip is a
-gather, one batched block product and a scatter; admissibility is
-<l0p, S b0p>; frame bounds scatter the blocks into the Gram and diagonalize it
-one connected block of its nonzero pattern at a time. Slice-sized
-contractions stay off BLAS. Instantiations supply grids, slices, charges; only
-the two-mode builder expands a family to one matrix per node
-(:func:`expand_family`).
+entries of G and F only where their charge differences agree mod n_phi. The
+classes (one when n_phi = 1) are packed first-fit, largest first, down the
+diagonals of equal m x m blocks, each built from the phase-0 slices with
+factor n_phi w_s. The round trip is a gather, one batched block product and a
+scatter; admissibility is <l0p, S b0p>; frame bounds scatter the blocks into
+the Gram and diagonalize it one connected block of its nonzero pattern at a
+time. Slice-sized contractions stay off BLAS. Instantiations supply grids,
+slices, charges; only the two-mode builder expands a family to one matrix per
+node (:func:`expand_family`).
 """
 
 from __future__ import annotations
@@ -255,11 +255,11 @@ def _resum(family: SliceFamily, layout: _Layout, c: np.ndarray) -> np.ndarray:
 
 
 class _FrameOperator(NamedTuple):
-    """S = sum_k w_k vec(G_k) vec(F_k)^dag, one zero-padded block per charge class."""
+    """S = sum_k w_k vec(G_k) vec(F_k)^dag, its charge classes packed into square blocks."""
 
-    rows: np.ndarray  # (n_class, m) flat entries of G in each class, padded with dim^2
-    cols: np.ndarray  # (n_class, m) flat entries of F in each class, padded with dim^2
-    blocks: np.ndarray  # (n_class, m, m) S[rows, cols], zero in the padding
+    rows: np.ndarray  # (n_block, m) flat entries of G in each block, padded with dim^2
+    cols: np.ndarray  # (n_block, m) flat entries of F in each block, padded with dim^2
+    blocks: np.ndarray  # (n_block, m, m) S[rows, cols], zero between classes and in the padding
 
 
 def _frame_operator(sys: TomographicSystem) -> _FrameOperator:
@@ -271,12 +271,18 @@ def _frame_operator(sys: TomographicSystem) -> _FrameOperator:
     key_g, key_f = (_flat_differences(fam.charges) % n_phi for fam in (g, f))
     classes = [(np.flatnonzero(key_g == k), np.flatnonzero(key_f == k))
                for k in sorted({*key_g.tolist(), *key_f.tolist()})]
-    m = max(max(len(r), len(c)) for r, c in classes)
-    rows, cols = np.full((2, len(classes), m), n)
-    blocks = np.zeros((len(classes), m, m), dtype=complex)
-    for i, (r, c) in enumerate(classes):
-        rows[i, : len(r)], cols[i, : len(c)] = r, c
-        blocks[i, : len(r), : len(c)] = np.einsum("si,sj->ij", vg[:, r] * w, vf[:, c].conj())
+    classes.sort(key=lambda rc: -max(map(len, rc)))  # first-fit, largest first
+    m, fill, places = max(map(len, classes[0])), [[0, 0] for _ in classes], []
+    for r, c in classes:
+        i = next(i for i, (a, b) in enumerate(fill) if a + len(r) <= m and b + len(c) <= m)
+        a, b = fill[i]
+        fill[i] = [a + len(r), b + len(c)]
+        places.append((i, slice(a, a + len(r)), slice(b, b + len(c))))
+    rows, cols = np.full((2, len(fill) - fill.count([0, 0]), m), n)
+    blocks = np.zeros(rows.shape + (m,), dtype=complex)
+    for (r, c), (i, a, b) in zip(classes, places):
+        rows[i, a], cols[i, b] = r, c
+        blocks[i, a, b] = np.einsum("si,sj->ij", vg[:, r] * w, vf[:, c].conj())
     return _FrameOperator(rows, cols, blocks)
 
 

@@ -5,7 +5,10 @@ dimension: states, kernels, displacement families. This module provides the
 carrier types (:class:`Operator`, :class:`DensityMatrix`) and the handful of
 linear-algebra primitives the reconstruction engines need — the
 Hilbert-Schmidt pairing, tensor products, Hermitian eigendecomposition,
-matrix exponentials and state fidelity.
+matrix exponentials and state fidelity. Fidelity takes only sigma's square
+root (Uhlmann fidelity is symmetric), cached on the :class:`DensityMatrix` and
+seeded by :func:`closest_density` from its own eigendecomposition; the PSD
+check is a Cholesky test of rho + PSD_TOL I, with eigenvalues only on failure.
 
 All functions are pure; operators are immutable after construction.
 """
@@ -13,6 +16,7 @@ All functions are pure; operators are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,14 +95,21 @@ class DensityMatrix:
         tr = np.trace(sym).real
         if abs(tr - 1) > 1e-12:
             raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
-        evals = np.linalg.eigvalsh(sym)
-        if evals[0] < -PSD_TOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {evals[0]:.3e}")
+        try:
+            np.linalg.cholesky(sym + PSD_TOL * np.eye(len(sym)))
+        except np.linalg.LinAlgError:
+            if (lowest := np.linalg.eigvalsh(sym)[0]) < -PSD_TOL:
+                raise ValueError(f"not positive semidefinite: min eigenvalue {lowest:.3e}")
         object.__setattr__(self, "op", Operator(sym))
 
     @property
     def dim(self) -> int:
         return self.op.dim
+
+    @cached_property
+    def _sqrt(self) -> np.ndarray:
+        w, v = eig_hermitian(self.op)
+        return (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
 
 
 def hs_inner(a: Operator, b: Operator) -> complex:
@@ -136,13 +147,13 @@ def eig_hermitian(a: Operator):
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, symmetric in rho and sigma."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w, v = eig_hermitian(rho.op)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-    inner = sqrt_rho @ sigma.op.entries @ sqrt_rho
+    inner = sigma._sqrt @ rho.op.entries @ sigma._sqrt
     evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    # drop rounding (matrix_rank's cut): its roots would lift a pure rho's score by ~1e-7
+    evals = evals[evals > rho.dim * np.finfo(float).eps * evals[-1]]
     f = np.sqrt(np.clip(evals, 0, None)).sum() ** 2
     return float(min(max(f, 0.0), 1.0))
 
@@ -161,5 +172,7 @@ def closest_density(a: Operator) -> DensityMatrix:
     total = w.sum()
     if total <= 0:
         raise ValueError("operator has no positive spectral weight")
-    return DensityMatrix(Operator((v * (w / total)) @ v.conj().T))
+    rho = DensityMatrix(Operator((v * (w / total)) @ v.conj().T))
+    vars(rho)["_sqrt"] = (v * np.sqrt(w / total)) @ v.conj().T
+    return rho
 

@@ -13,7 +13,8 @@ that the package replaced with numpy: the Laguerre displacement from
 ``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
 engine's sampling and resummation as they were before each system cached
 its charge-difference layout: grouped, conjugated and exponentiated anew on
-every call.
+every call. Of ``opalg`` it keeps the fidelity through rho's own square
+root and the PSD test of ``DensityMatrix`` by its full spectrum.
 """
 
 import math
@@ -25,7 +26,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from coorbit import frame_core
 from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator, wigner_point
-from coorbit.opalg import Operator, matrix_exp
+from coorbit.opalg import PSD_TOL, Operator, eig_hermitian, matrix_exp
 from coorbit.discrete_ps import displacement_discrete, point_operator
 from coorbit.spin_moyal import _angular_momentum
 from coorbit.su11_tomo import _kplus, generators
@@ -249,3 +250,19 @@ def mixed_gram(sys):
     key_g, key_f = (np.subtract.outer(fam.charges, fam.charges).ravel() % n_phi for fam in (g, f))
     gram[key_g[:, None] != key_f[None, :]] = 0
     return (gram + gram.conj().T) / 2
+
+
+def fidelity(rho, sigma):
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 through rho's eigendecomposition."""
+    w, v = eig_hermitian(rho.op)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    inner = sqrt_rho @ sigma.op.entries @ sqrt_rho
+    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    f = np.sqrt(np.clip(evals, 0, None)).sum() ** 2
+    return float(min(max(f, 0.0), 1.0))
+
+
+def psd_lowest(m):
+    """Minimum eigenvalue of the symmetrized m, and whether it passes -PSD_TOL."""
+    lowest = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
+    return lowest, lowest >= -PSD_TOL

@@ -8,7 +8,7 @@ charge-difference layout is also checked against the per-call regrouping
 of ``loop_reference`` on both families of every case, and the cached frame
 operator behind ``roundtrip``, ``admissibility_constant`` and
 ``frame_bounds`` against the sample path and the dense masked Gram kept
-there.
+there, together with the way its charge classes are packed into blocks.
 """
 
 import math
@@ -221,3 +221,34 @@ def test_mixed_gram_matches_dense_product(name):
     scale = np.abs(evals).max()
     assert abs(report.gram_spectrum_min - evals[0]) <= TOL * scale
     assert abs(report.gram_spectrum_max - evals[-1]) <= TOL * scale
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_frame_blocks_hold_each_entry_once(name):
+    sys = LAYOUT_CASES[name]()
+    frame, n = sys._frame, sys.dim**2
+    for idx in (frame.rows, frame.cols):
+        assert np.array_equal(np.sort(idx[idx < n]), np.arange(n))
+    assert not frame.blocks[frame.rows == n].any()
+    assert not frame.blocks.transpose(0, 2, 1)[frame.cols == n].any()
+
+
+def _block_of(idx, n):
+    """The block that holds each flat entry."""
+    block = np.empty(n, dtype=int)
+    held = idx < n
+    block[idx[held]] = np.nonzero(held)[0]
+    return block
+
+
+def test_stream_frame_packs_classes_in_pairs():
+    # 63 charge classes of 32 - |delta| entries: 32 alone, then a + (32 - a)
+    sys = LAYOUT_CASES["homodyne-stream"]()
+    frame, n, n_phi = sys._frame, sys.dim**2, len(sys.phis)
+    assert frame.blocks.shape == (32, 32, 32)
+    for fam, idx in ((sys.synthesis_family, frame.rows), (sys.analysis_family, frame.cols)):
+        key = frame_core._flat_differences(fam.charges) % n_phi
+        block = _block_of(idx, n)
+        for k in set(key.tolist()):
+            assert len(set(block[key == k].tolist())) == 1
+

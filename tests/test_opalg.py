@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import loop_reference
 from coorbit.opalg import (
+    PSD_TOL,
     DensityMatrix,
     Operator,
     closest_density,
@@ -20,6 +24,32 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def random_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(random_matrix(rng, d))
+    return q
+
+
+def full_rank_state(rng, d):
+    """0.9 A A^dag / Tr + 0.1 I / d: minimum eigenvalue at least 0.1 / d."""
+    x = random_matrix(rng, d)
+    x = x @ x.conj().T
+    return Operator(0.9 * x / np.trace(x).real + 0.1 * np.eye(d) / d)
+
+
+def unit_vector(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+def with_spectrum(rng, w):
+    """U diag(w) U^dag for a random unitary U."""
+    u = random_unitary(rng, len(w))
+    return (u * w) @ u.conj().T
+
+
+DIMS = [2, 3, 5, 8, 16, 32]
 
 
 class TestOperator:
@@ -56,6 +86,50 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             DensityMatrix(Operator(np.diag([1.5, -0.5])))
+
+    @pytest.mark.parametrize("lowest, accepted", [(-0.5e-10, True), (-2e-10, False)])
+    def test_psd_boundary(self, lowest, accepted):
+        rng = np.random.default_rng(11)
+        m = with_spectrum(rng, np.array([lowest, 0.2, 0.3, 0.5 - lowest]))
+        if accepted:
+            DensityMatrix(Operator(m))
+            return
+        named = loop_reference.psd_lowest(m)[0]
+        assert f"{named:.3e}" == "-2.000e-10"
+        with pytest.raises(ValueError, match=re.escape(f"min eigenvalue {named:.3e}")):
+            DensityMatrix(Operator(m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        lowest=st.one_of(st.floats(-3e-10, 1e-10), st.floats(-1.002e-10, -0.998e-10)),
+    )
+    def test_cholesky_decision_matches_eigvalsh(self, d, seed, lowest):
+        # outside rounding of the boundary, the Cholesky test of rho + PSD_TOL I
+        # accepts exactly the states whose minimum eigenvalue is >= -PSD_TOL
+        rng = np.random.default_rng(seed)
+        rest = rng.random(d - 1) + 1e-3
+        m = with_spectrum(rng, np.concatenate([[lowest], (1 - lowest) * rest / rest.sum()]))
+        named, want = loop_reference.psd_lowest(m)
+        assume(abs(named + PSD_TOL) > 1e-13)
+        try:
+            DensityMatrix(Operator(m))
+            got = True
+        except ValueError as err:
+            assert str(err) == f"not positive semidefinite: min eigenvalue {named:.3e}"
+            got = False
+        assert got == want
+
+    def test_valid_pure_state_skips_the_spectrum(self, monkeypatch):
+        # a pure state is singular: the PSD_TOL shift lets Cholesky pass it,
+        # and only a failed Cholesky test may pay for eigvalsh
+        def spectrum(_):
+            raise AssertionError("eigvalsh called on a valid state")
+
+        v = unit_vector(np.random.default_rng(13), 32)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
+        DensityMatrix(Operator(np.outer(v, v.conj())))
 
     def test_symmetrizes_tiny_asymmetry(self):
         m = np.diag([0.5, 0.5]).astype(complex)
@@ -176,6 +250,58 @@ class TestFidelity:
         b = DensityMatrix(Operator(np.eye(3) / 3))
         with pytest.raises(ValueError):
             fidelity(a, b)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_full_rank_matches_sqrt_rho_form(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(8):
+            rho = DensityMatrix(full_rank_state(rng, d))
+            repaired = closest_density(full_rank_state(rng, d))
+            plain = DensityMatrix(repaired.op)  # no seeded root
+            for sigma in (repaired, plain):
+                assert np.linalg.eigvalsh(sigma.op.entries)[0] >= 1e-6
+                assert abs(fidelity(rho, sigma) - loop_reference.fidelity(rho, sigma)) <= 1e-13
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_symmetric(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(8):
+            rho = DensityMatrix(full_rank_state(rng, d))
+            sigma = closest_density(full_rank_state(rng, d))
+            assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) <= 1e-13
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_near_pure_no_farther_from_closed_form(self, d):
+        # rho = |psi><psi| against a repaired near-pure sigma: F = <psi|sigma|psi>.
+        # The sqrt(rho) form adds the square roots of rounding-level eigenvalues
+        # (~1e-7 in total at d 32); the new form must be no farther off.
+        rng = np.random.default_rng(200 + d)
+        for _ in range(8):
+            psi = unit_vector(rng, d)
+            phi = psi + 0.05 * unit_vector(rng, d)
+            noise = random_matrix(rng, d)
+            noise = 1e-9 * (noise + noise.conj().T)
+            rec = np.outer(phi, phi.conj()) / np.vdot(phi, phi).real + noise
+            rho = DensityMatrix(Operator(np.outer(psi, psi.conj())))
+            sigma = closest_density(Operator(rec))
+            exact = np.vdot(psi, sigma.op.entries @ psi).real
+            oracle_error = abs(loop_reference.fidelity(rho, sigma) - exact)
+            assert abs(fidelity(rho, sigma) - exact) <= oracle_error + 1e-12
+            assert abs(fidelity(sigma, rho) - exact) <= oracle_error + 1e-12
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_seeded_root_matches_fresh_eigh(self, d):
+        rng = np.random.default_rng(300 + d)
+        sigma = closest_density(full_rank_state(rng, d) * 2.5)  # renormalized by the repair
+        fresh = DensityMatrix(sigma.op)._sqrt
+        assert np.abs(sigma._sqrt - fresh).max() <= 1e-13
+        assert np.abs(fresh @ fresh - sigma.op.entries).max() <= 1e-13
+
+    def test_root_clips_negative_eigenvalues(self):
+        rng = np.random.default_rng(12)
+        m = with_spectrum(rng, np.array([-0.5e-10, 0.25, 0.75 + 0.5e-10]))
+        root = DensityMatrix(Operator(m))._sqrt
+        assert np.linalg.eigvalsh(root)[0] >= -1e-15
 
 
 class TestClosestDensity:
