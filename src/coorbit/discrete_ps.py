@@ -123,13 +123,15 @@ def heisenberg_finite_system(N: int) -> TomographicSystem:
     One slice per node (n_phi = 1). With analysis = synthesis = U(q, p)
     and weight 1/N per node, the family {U / sqrt(N)} is an orthonormal
     operator basis, so the round trip is a Parseval identity (frame bounds
-    A = B = 1 and P = 1).
+    A = B = 1 and P = 1). The charges arange(N) move no node (n_phi = 1);
+    U(q, p) holds only entries with a - b = q mod N, so the frame operator
+    splits into N classes keyed by (a - b) mod N.
     """
     if N < 2:
         raise ValueError("need N >= 2")
     points = FiniteLattice(N).coarse_points
     ops = np.array([displacement_discrete(N, q, p).entries for q, p in points])
-    family = SliceFamily(ops, np.zeros(N))
+    family = SliceFamily(ops, np.arange(N))
     return TomographicSystem(
         grid=IndexGrid(tuple(points), np.full(N * N, 1 / N)),
         analysis_family=family,

@@ -8,8 +8,9 @@ diag(e^{i phi charges}) at phi = 2 pi (k % n_phi) / n_phi, the slice-major
 order of :func:`slice_major_grid`. n_phi = len(grid) / n_s is derived, so
 the circle is uniform by construction; families without that U(1) covariance
 have one slice per node (n_phi = 1). A system checks that the weights do not
-depend on phi and that charge differences are integers. Families are
-normalized (admissibility constant 1), so the round trip needs no constant.
+depend on phi and that charge differences are integers and the same in both
+families. Families are normalized (admissibility constant 1), so the round
+trip needs no constant.
 
 A system caches what it reads on first use. :func:`analyze`,
 :func:`synthesize` and :func:`singular_admissibility` read one layout per
@@ -17,14 +18,17 @@ family: the (a, b) entries in order of c_a - c_b, the conjugated slices in
 that order and e^{-i phi delta}; sampling is a gather, a product, a segmented
 sum and one small GEMM, and resummation its adjoint. :func:`roundtrip`,
 :func:`admissibility_constant` and :func:`frame_bounds` read the frame operator
-S = sum_k w_k vec(G_k) vec(F_k)^dag (analysis, then synthesis). S couples
-entries of G and F only where their charge differences agree mod n_phi. The
-classes (one when n_phi = 1) are packed first-fit, largest first, down the
-diagonals of equal m x m blocks, each built from the phase-0 slices with
-factor n_phi w_s. The round trip is a gather, one batched block product and a
-scatter; admissibility is <l0p, S b0p>; frame bounds scatter the blocks into
-the Gram and diagonalize it one connected block of its nonzero pattern at a
-time. Slice-sized contractions stay off BLAS. Instantiations supply grids,
+S = sum_k w_k vec(G_k) vec(F_k)^dag (analysis, then synthesis). Both families
+carry the same charge differences, and S couples two entries only where those
+agree mod n_phi. With n_phi = 1 there is no phi sum: the classes are keyed by
+(c_a - c_b) mod dim when every slice lies inside one of them (the Z_N lattice,
+whose U(q, p) holds a - b = q mod N), and form one class otherwise. These
+charge classes are the engine's only block structure. They are packed
+first-fit, largest first, down the diagonals of equal m x m blocks, each built
+from the phase-0 slices with factor n_phi w_s. The round trip is a gather, one
+batched block product and a scatter; admissibility is <l0p, S b0p>; frame
+bounds are the spectrum of (S + S^dag) / 2 on each block's occupied leading
+square. Slice-sized contractions stay off BLAS. Instantiations supply grids,
 slices, charges; only the two-mode builder expands a family to one matrix per
 node (:func:`expand_family`).
 """
@@ -41,8 +45,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .opalg import Operator, hs_inner
-
-GRAM_DIM_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,7 @@ class TomographicSystem:
     def __post_init__(self):
         n_s = len(self.analysis_family.slices)
         rest = len(self.grid) % n_s if n_s else 1
+        diffs = []
         for name in ("analysis", "synthesis"):
             family = getattr(self, f"{name}_family")
             shape = (n_s, self.dim, self.dim)
@@ -173,10 +176,12 @@ class TomographicSystem:
                                  f"slices and {self.dim} charges")
             if not (np.all(np.isfinite(family.slices)) and np.all(np.isfinite(family.charges))):
                 raise ValueError(f"{name} family must be finite")
-            diffs = _flat_differences(family.charges)
-            if not np.array_equal(diffs, np.round(diffs)):
+            diffs.append(_flat_differences(family.charges))
+            if not np.array_equal(diffs[-1], np.round(diffs[-1])):
                 raise ValueError(f"{name} family needs integer charge differences")
             object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family))
+        if not np.array_equal(*diffs):
+            raise ValueError("analysis and synthesis families need the same charge differences")
         w = self.grid.weights.reshape(-1, len(self.phis))
         if not np.all(w == w[:, :1]):
             raise ValueError("grid weights must not depend on phi")
@@ -257,33 +262,35 @@ def _resum(family: SliceFamily, layout: _Layout, c: np.ndarray) -> np.ndarray:
 class _FrameOperator(NamedTuple):
     """S = sum_k w_k vec(G_k) vec(F_k)^dag, its charge classes packed into square blocks."""
 
-    rows: np.ndarray  # (n_block, m) flat entries of G in each block, padded with dim^2
-    cols: np.ndarray  # (n_block, m) flat entries of F in each block, padded with dim^2
-    blocks: np.ndarray  # (n_block, m, m) S[rows, cols], zero between classes and in the padding
+    index: np.ndarray  # (n_block, m) flat entries in each block, padded with dim^2
+    blocks: np.ndarray  # (n_block, m, m) S[index, index], zero between classes and in the padding
 
 
 def _frame_operator(sys: TomographicSystem) -> _FrameOperator:
     """S from the phase-0 slices; the phi sum is n_phi where the classes agree, else 0."""
     n_phi, n = len(sys.phis), sys.dim**2
-    g, f = sys.synthesis_family, sys.analysis_family
     w = n_phi * sys.grid.weights[::n_phi, None]
-    vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (g, f))
-    key_g, key_f = (_flat_differences(fam.charges) % n_phi for fam in (g, f))
-    classes = [(np.flatnonzero(key_g == k), np.flatnonzero(key_f == k))
-               for k in sorted({*key_g.tolist(), *key_f.tolist()})]
-    classes.sort(key=lambda rc: -max(map(len, rc)))  # first-fit, largest first
-    m, fill, places = max(map(len, classes[0])), [[0, 0] for _ in classes], []
-    for r, c in classes:
-        i = next(i for i, (a, b) in enumerate(fill) if a + len(r) <= m and b + len(c) <= m)
-        a, b = fill[i]
-        fill[i] = [a + len(r), b + len(c)]
-        places.append((i, slice(a, a + len(r)), slice(b, b + len(c))))
-    rows, cols = np.full((2, len(fill) - fill.count([0, 0]), m), n)
-    blocks = np.zeros(rows.shape + (m,), dtype=complex)
-    for (r, c), (i, a, b) in zip(classes, places):
-        rows[i, a], cols[i, b] = r, c
-        blocks[i, a, b] = np.einsum("si,sj->ij", vg[:, r] * w, vf[:, c].conj())
-    return _FrameOperator(rows, cols, blocks)
+    vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (sys.synthesis_family,
+                                                                sys.analysis_family))
+    diffs = _flat_differences(sys.analysis_family.charges)
+    key = diffs % n_phi
+    if n_phi == 1:  # key mod dim only if each slice lies inside one class
+        key, held = diffs % sys.dim, (vg != 0) | (vf != 0)
+        if np.any(held & (key != key[held.argmax(axis=1), None])):
+            key = np.zeros(n)
+    classes = [np.flatnonzero(key == k) for k in sorted(set(key.tolist()))]
+    classes.sort(key=len, reverse=True)
+    m, fill, places = len(classes[0]), [0] * len(classes), []  # first-fit, largest first
+    for c in classes:
+        i = next(i for i, a in enumerate(fill) if a + len(c) <= m)
+        places.append((i, slice(fill[i], fill[i] + len(c))))
+        fill[i] += len(c)
+    index = np.full((len(fill) - fill.count(0), m), n)
+    blocks = np.zeros(index.shape + (m,), dtype=complex)
+    for c, (i, a) in zip(classes, places):
+        index[i, a] = c
+        blocks[i, a, a] = np.einsum("si,sj->ij", vg[:, c] * w, vf[:, c].conj())
+    return _FrameOperator(index, blocks)
 
 
 def _apply_frame(sys: TomographicSystem, o: Operator) -> np.ndarray:
@@ -292,7 +299,7 @@ def _apply_frame(sys: TomographicSystem, o: Operator) -> np.ndarray:
         raise ValueError(f"dimension mismatch: operator {o.dim}, system {sys.dim}")
     frame, n = sys._frame, sys.dim**2
     out = np.empty(n + 1, dtype=complex)
-    out[frame.rows] = np.einsum("kij,kj->ki", frame.blocks, np.append(o.entries, 0)[frame.cols])
+    out[frame.index] = np.einsum("kij,kj->ki", frame.blocks, np.append(o.entries, 0)[frame.index])
     return out[:n].reshape(sys.dim, sys.dim)
 
 
@@ -403,76 +410,24 @@ def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:
     return float(np.sum(grid.weights * np.abs(s.values) ** d) ** (1 / d))
 
 
-def _block_labels(pattern: np.ndarray) -> np.ndarray:
-    """Connected-component label of each index of a symmetric boolean pattern.
-
-    Components are numbered in the order of their smallest index. Each
-    breadth-first step ORs the pattern rows of its frontier into one
-    length-n vector, so every row is read once and no n x n temporary is
-    made beside the pattern itself.
-    """
-    n = len(pattern)
-    labels = np.full(n, -1)
-    count = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = count
-        frontier = [start]
-        while len(frontier):
-            reach = np.zeros(n, dtype=bool)
-            for i in frontier:
-                reach |= pattern[i]
-            frontier = np.flatnonzero(reach & (labels < 0))
-            labels[frontier] = count
-        count += 1
-    return labels
-
-
-def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Hermitian h, one connected block of its nonzero pattern at a time.
-
-    The charge mask and the slices' zero pattern leave many small blocks
-    (the lattice Gram couples only entries with equal (a - b) mod N); small
-    blocks keep LAPACK single-threaded and the values free of the BLAS
-    thread count. Each block keeps its indices in increasing order.
-    """
-    labels = _block_labels(h != 0)
-    blocks = (np.flatnonzero(labels == k) for k in range(labels.max() + 1))
-    return np.concatenate([np.linalg.eigvalsh(h[np.ix_(i, i)]) for i in blocks])
-
-
-def _mixed_gram(sys: TomographicSystem) -> np.ndarray:
-    """(S + S^dag) / 2 as a dim^2 x dim^2 matrix, scattered from the frame operator's blocks."""
-    frame, n = sys._frame, sys.dim**2
-    gram = np.zeros((n + 1, n + 1), dtype=complex)
-    gram[frame.rows[:, :, None], frame.cols[:, None, :]] = frame.blocks
-    return (gram[:n, :n] + gram[:n, :n].conj().T) / 2
-
-
 def frame_bounds(
     sys: TomographicSystem, d: float = 2, sample_count: int = 256, seed: int = 0
 ) -> FrameReport:
     """Frame bounds of the analysis/synthesis pair.
 
-    For d = 2 the frame operator S = sum_k w_k vec(G_k) vec(F_k)^dag is
-    scattered into a dim^2 x dim^2 matrix, symmetrized and diagonalized one
-    connected block at a time (:func:`_mixed_gram`); A and B are the square
-    roots of its extreme eigenvalues. For d != 2 the bounds are sampled
-    empirically over random unit-norm operators (estimates, not certificates).
+    For d = 2, A and B are the square roots of the extreme eigenvalues of
+    (S + S^dag) / 2, S = sum_k w_k vec(G_k) vec(F_k)^dag, taken one frame
+    operator block at a time over its occupied leading square. For d != 2 the
+    bounds are sampled empirically over random unit-norm operators
+    (estimates, not certificates).
     """
-    dim = sys.dim
-    if dim * dim > GRAM_DIM_LIMIT:
-        raise ValueError(
-            f"dim^2 = {dim * dim} exceeds the Gram limit {GRAM_DIM_LIMIT}; "
-            "use a smaller system"
-        )
     if d == 2:
-        evals = _block_eigvalsh(_mixed_gram(sys))
+        frame, n = sys._frame, sys.dim**2
+        squares = (b[:k, :k] for b, k in zip(frame.blocks, np.count_nonzero(frame.index < n, 1)))
+        evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().T) / 2) for b in squares])
         lo, hi = float(evals.min()), float(evals.max())
     else:
-        rng = np.random.default_rng(seed)
-        ratios = []
+        dim, rng, ratios = sys.dim, np.random.default_rng(seed), []
         for _ in range(sample_count):
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             m /= np.linalg.norm(m)
@@ -483,36 +438,11 @@ def frame_bounds(
     return FrameReport(a, b, lo, hi)
 
 
-# ---------------------------------------------------------------------------
-# JSON serialization (bit-exact round trips: floats are emitted with the
-# shortest representation that reparses to the identical double).
-
-
 def grid_to_json(grid: IndexGrid) -> str:
+    """The grid as JSON, floats in their shortest round-trip form: the input to ``grid_id``."""
     return json.dumps(
         {
             "nodes": [{"coords": list(node)} for node in grid.nodes],
             "weights": list(grid.weights),
         }
     )
-
-
-def grid_from_json(text: str) -> IndexGrid:
-    doc = json.loads(text)
-    nodes = tuple(tuple(n["coords"]) for n in doc["nodes"])
-    return IndexGrid(nodes, np.array(doc["weights"], dtype=float))
-
-
-def sample_to_json(s: SampleVector) -> str:
-    return json.dumps(
-        {
-            "grid_id": s.grid_id,
-            "values": [[v.real, v.imag] for v in s.values],
-        }
-    )
-
-
-def sample_from_json(text: str) -> SampleVector:
-    doc = json.loads(text)
-    values = np.array([complex(re, im) for re, im in doc["values"]], dtype=complex)
-    return SampleVector(values, doc["grid_id"])

@@ -10,11 +10,16 @@ closed forms that are exact entrywise at truncation:
   triangular product e^{zeta K+} sech(theta)^{2 Kz} e^{-conj(zeta) K-} with
   zeta = tanh(theta) e^{i(phi+pi)}, using 1 - |zeta|^2 = sech(theta)^2;
 * pi(theta, phi) = cosh(theta) Kz
-  + (i/2) sinh(theta) (-e^{-i phi} K+ + e^{i phi} K-).
+  + (i/2) sinh(theta) (-e^{i phi} K+ + e^{-i phi} K-).
 
-With U_phi = diag(e^{i phi r}), B(theta, phi) = U_phi B(theta, 0) U_phi^dag
-(charges +r) but pi(theta, phi) = U_phi^dag pi(theta, 0) U_phi (charges -r);
-whether the opposite signs are the intended orbit convention is open.
+Both families carry the charges +r: with U_phi = diag(e^{i phi r}),
+B(theta, phi) = U_phi B(theta, 0) U_phi^dag and
+pi(theta, phi) = U_phi pi(theta, 0) U_phi^dag, so both sit on the same orbit
+point and the round trip is covariant, rec(U rho U^dag) = U rec(rho) U^dag
+for U = diag(e^{i a r}). One phase is measured and not fixed: a real
+rho[1, 0] = 0.02 comes back as rec[1, 0] = -0.01985i (cutoff 10, theta_max 6,
+80 x 16 nodes; the same with pi at charges -r). The -i sits between the
+(i/2) sinh(theta) term of pi and the (-1)^m sign of B.
 
 The measure is (1/(4 pi)) dphi tanh(theta) dtheta with a configurable
 theta_max; biorthogonality and probe admissibility are checked by
@@ -123,10 +128,10 @@ def analysis_B(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
 def synthesis_pi(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
     """Synthesis operator: hyperbolic rotation of Kz (exact closed form).
 
-    pi = cosh(theta) Kz + (i/2) sinh(theta) (-e^{-i phi} K+ + e^{i phi} K-);
+    pi = cosh(theta) Kz + (i/2) sinh(theta) (-e^{i phi} K+ + e^{-i phi} K-);
     Hermitian by construction, reduces to Kz at theta = 0.
     """
-    return _at_phi(_slices(rep, [theta])[2], -np.arange(rep.cutoff), phi)
+    return _at_phi(_slices(rep, [theta])[2], np.arange(rep.cutoff), phi)
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class SUGrid:
 
 
 def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
-    """System with analysis = B (charges +r), synthesis = pi (charges -r)."""
+    """System with analysis = B and synthesis = pi, both with charges +r."""
     if rep.cutoff < 6:
         raise ValueError("need cutoff >= 6")
     return _slice_system(rep, grid)
@@ -166,7 +171,7 @@ def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     return TomographicSystem(
         grid=index_grid,
         analysis_family=SliceFamily(b.astype(complex), np.arange(rep.cutoff)),
-        synthesis_family=SliceFamily(pi, -np.arange(rep.cutoff)),
+        synthesis_family=SliceFamily(pi, np.arange(rep.cutoff)),
         vacuum=Operator(np.eye(rep.cutoff)),
         test_functional=Operator(np.eye(rep.cutoff)),
     )

@@ -123,10 +123,10 @@ def analysis_B(rep, theta, phi):
 
 
 def synthesis_pi(rep, theta, phi):
-    """cosh(theta) Kz + (i/2) sinh(theta) (-e^{-i phi} K+ + e^{i phi} K-)."""
+    """cosh(theta) Kz + (i/2) sinh(theta) (-e^{i phi} K+ + e^{-i phi} K-)."""
     kp, km, kz = (g.entries.astype(complex) for g in generators(rep))
     return math.cosh(theta) * kz + 0.5j * math.sinh(theta) * (
-        -np.exp(-1j * phi) * kp + np.exp(1j * phi) * km
+        -np.exp(1j * phi) * kp + np.exp(-1j * phi) * km
     )
 
 

@@ -128,8 +128,8 @@ class TestTomoRun:
               "params": {"d": 16, "R": 5.5, "n_r": 24, "n_phi": 40},
               "state": {"kind": "coherent", "d": 16, "beta_re": 0.6, "beta_im": -0.3},
               "frame_bounds": True}, "frame_A"),
-            # one phi node, so the 225 x 225 lattice Gram is split by its
-            # nonzero pattern instead of by charge sector
+            # one phi node: the lattice's classes are keyed by (a - b) mod N,
+            # so frame_bounds runs 15 eigensolves of order 15, not one of 225
             ({"system": "dps", "params": {"N": 15}}, "frame_A"),
             ({"system": "spin", "params": {"two_s": 10}, "frame_bounds": True}, "frame_A"),
             # GEMMs over every direction and every theta node

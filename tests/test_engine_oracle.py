@@ -8,9 +8,11 @@ charge-difference layout is also checked against the per-call regrouping
 of ``loop_reference`` on both families of every case, and the cached frame
 operator behind ``roundtrip``, ``admissibility_constant`` and
 ``frame_bounds`` against the sample path and the dense masked Gram kept
-there, together with the way its charge classes are packed into blocks.
+there, together with the way its charge classes are keyed and packed into
+blocks.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -159,8 +161,31 @@ def test_frame_bounds_match_full_gram(case):
     assert report.A == math.sqrt(max(report.gram_spectrum_min, 0.0))
 
 
+def _straddling_lattice(N):
+    """The Z_N lattice with U(1, 1), which holds a - b = 1 mod N, leaking into entry (0, 0)."""
+    sys = heisenberg_finite_system(N)
+    slices = sys.analysis_family.slices.copy()
+    slices[N + 1, 0, 0] += 0.25
+    family = sys.analysis_family._replace(slices=slices)
+    return dataclasses.replace(sys, analysis_family=family, synthesis_family=family)
+
+
+def _matrix_units(charges):
+    """The matrix units E_ab, one node each, so S = I, in the classes of the charges mod dim."""
+    d = len(charges)
+    family = frame_core.SliceFamily(np.eye(d * d, dtype=complex).reshape(-1, d, d), charges)
+    grid = frame_core.IndexGrid(tuple((float(i),) for i in range(d * d)), np.ones(d * d))
+    return frame_core.TomographicSystem(grid, family, family, Operator(np.eye(d)),
+                                        Operator(np.eye(d)))
+
+
 LAYOUT_CASES = {
     **{name: (lambda build=build: build()[0]) for name, build in CASES.items()},
+    # classes of 5, 2 and 2 entries: the second block is partly padding, which
+    # frame_bounds must leave out of the spectrum of S = I
+    "units-partial": lambda: _matrix_units(np.array([0.0, 0.0, 1.0])),
+    # one slice straddles two classes mod N, so the lattice keeps one class
+    "dps-5-straddling": lambda: _straddling_lattice(5),
     # n_phi 6 < 2d - 1 charge differences, so differences alias on the circle
     "homodyne-aliased": lambda: homodyne_system(FockSpace(8), PolarGrid(3.0, 5, 6)),
     # the size of the stream benchmark workload
@@ -213,9 +238,14 @@ def test_admissibility_matches_sample_path(name):
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
 def test_mixed_gram_matches_dense_product(name):
+    # the blocks, scattered into the dense Gram, hold all of it; frame_bounds
+    # reads its spectrum off the blocks
     sys = LAYOUT_CASES[name]()
     want = loop_reference.mixed_gram(sys)
-    assert _close(frame_core._mixed_gram(sys), want)
+    frame, n = sys._frame, sys.dim**2
+    gram = np.zeros((n + 1, n + 1), dtype=complex)
+    gram[frame.index[:, :, None], frame.index[:, None, :]] = frame.blocks
+    assert _close((gram[:n, :n] + gram[:n, :n].conj().T) / 2, want)
     evals = np.linalg.eigvalsh(want)
     report = frame_bounds(sys)
     scale = np.abs(evals).max()
@@ -225,12 +255,15 @@ def test_mixed_gram_matches_dense_product(name):
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
 def test_frame_blocks_hold_each_entry_once(name):
+    # each block's entries lead and its padding trails, so its occupied part
+    # is a leading square
     sys = LAYOUT_CASES[name]()
     frame, n = sys._frame, sys.dim**2
-    for idx in (frame.rows, frame.cols):
-        assert np.array_equal(np.sort(idx[idx < n]), np.arange(n))
-    assert not frame.blocks[frame.rows == n].any()
-    assert not frame.blocks.transpose(0, 2, 1)[frame.cols == n].any()
+    held = frame.index < n
+    assert np.array_equal(np.sort(frame.index[held]), np.arange(n))
+    assert np.array_equal(held, np.arange(held.shape[1]) < held.sum(axis=1, keepdims=True))
+    assert not frame.blocks[~held].any()
+    assert not frame.blocks.transpose(0, 2, 1)[~held].any()
 
 
 def _block_of(idx, n):
@@ -246,9 +279,51 @@ def test_stream_frame_packs_classes_in_pairs():
     sys = LAYOUT_CASES["homodyne-stream"]()
     frame, n, n_phi = sys._frame, sys.dim**2, len(sys.phis)
     assert frame.blocks.shape == (32, 32, 32)
-    for fam, idx in ((sys.synthesis_family, frame.rows), (sys.analysis_family, frame.cols)):
-        key = frame_core._flat_differences(fam.charges) % n_phi
-        block = _block_of(idx, n)
-        for k in set(key.tolist()):
-            assert len(set(block[key == k].tolist())) == 1
+    key = frame_core._flat_differences(sys.analysis_family.charges) % n_phi
+    block = _block_of(frame.index, n)
+    for k in set(key.tolist()):
+        assert len(set(block[key == k].tolist())) == 1
 
+
+def test_lattice_keyed_by_difference_mod_n():
+    # U(q, p) holds a - b = q mod N: N classes of N entries, one per block,
+    # unless a slice straddles two classes
+    keyed = LAYOUT_CASES["dps-5"]()._frame
+    a, b = np.divmod(keyed.index, 5)
+    assert np.all((a - b) % 5 == (a - b)[:, :1] % 5)
+    assert LAYOUT_CASES["dps-5-straddling"]()._frame.blocks.shape == (1, 25, 25)
+
+
+@pytest.mark.parametrize("N", [3, 8, 15])
+def test_lattice_blocks_equal_one_class_entries(N):
+    # keying the lattice only drops the zeros between classes: bit for bit
+    sys = heisenberg_finite_system(N)
+    flat = sys.analysis_family._replace(charges=np.zeros(N))
+    one = dataclasses.replace(sys, analysis_family=flat, synthesis_family=flat)._frame
+    keyed = sys._frame
+    assert one.blocks.shape == (1, N * N, N * N)
+    assert keyed.blocks.shape == (N, N, N)
+    for idx, block in zip(keyed.index, keyed.blocks):
+        assert np.array_equal(block, one.blocks[0][np.ix_(idx, idx)])
+
+
+GATE_SYSTEMS = {
+    "dps-3": lambda: heisenberg_finite_system(3),
+    "dps-15": lambda: heisenberg_finite_system(15),
+    "spin-4": lambda: moyal_system(SpinParams(4), sphere_grid(SpinParams(4))),
+    "spin-10": lambda: moyal_system(SpinParams(10), sphere_grid(SpinParams(10))),
+    "homodyne-32": lambda: homodyne_system(FockSpace(32), PolarGrid(6.0, 48, 64)),
+    "homodyne-12": lambda: homodyne_system(FockSpace(12), PolarGrid(4.0, 32, 32)),
+    "su11-8": lambda: su11_system(DiscreteSeriesRep(1.0, 8), SUGrid(6.0, 80, 16)),
+    "two-mode-3": lambda: multimode_system([FockSpace(3)] * 2, [PolarGrid(3.0, 4, 6)] * 2),
+}
+
+BLOCK_CASES = {**{f"gate-{k}": v for k, v in GATE_SYSTEMS.items()},
+               **{f"layout-{k}": v for k, v in LAYOUT_CASES.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_largest_block_below_thread_dependence_order(name):
+    # frame_bounds runs one eigensolve per block; LAPACK output was seen to
+    # depend on the BLAS thread count from about order 200
+    assert BLOCK_CASES[name]()._frame.blocks.shape[1] < 200

@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from scipy.sparse.csgraph import connected_components
-
 from coorbit import frame_core
 from coorbit.cv_tomo import FockSpace, PolarGrid, homodyne_system, multimode_system
 from coorbit.discrete_ps import heisenberg_finite_system
@@ -19,11 +17,8 @@ from coorbit.frame_core import (
     check_vacuum_invariance,
     coorbit_norm,
     frame_bounds,
-    grid_from_json,
     grid_to_json,
     roundtrip,
-    sample_from_json,
-    sample_to_json,
     synthesize,
 )
 from coorbit.opalg import Operator, hs_inner
@@ -62,26 +57,6 @@ class TestIndexGrid:
         assert grid.grid_id == expect
         assert grid.grid_id == expect
         assert len(calls) == 1
-
-
-class TestSerialization:
-    def test_grid_round_trip_bit_exact(self):
-        rng = np.random.default_rng(0)
-        nodes = tuple((rng.normal(), rng.normal()) for _ in range(17))
-        grid = IndexGrid(nodes, rng.random(17) + 0.1)
-        text = grid_to_json(grid)
-        back = grid_from_json(text)
-        assert grid_to_json(back) == text
-        assert back.nodes == grid.nodes
-        assert np.array_equal(back.weights, grid.weights)
-
-    def test_sample_round_trip_bit_exact(self):
-        rng = np.random.default_rng(1)
-        s = SampleVector(rng.normal(size=9) + 1j * rng.normal(size=9), "abc123")
-        text = sample_to_json(s)
-        back = sample_from_json(text)
-        assert sample_to_json(back) == text
-        assert np.array_equal(back.values, s.values)
 
 
 class TestAnalyzeSynthesize:
@@ -335,6 +310,14 @@ class TestFrameBounds:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(sys, **bad)
 
+    def test_dual_pair_needs_equal_charge_differences(self):
+        # pi at charges -r keys its entries to other classes than B at +r, so
+        # S would not split along one set of blocks
+        sys = su11_system(DiscreteSeriesRep(1.0, 8), SUGrid(3.0, 6, 8))
+        flipped = sys.synthesis_family._replace(charges=-np.arange(8))
+        with pytest.raises(ValueError, match="same charge differences"):
+            dataclasses.replace(sys, synthesis_family=flipped)
+
     def test_empirical_bounds_for_other_exponents(self):
         report = frame_bounds(heisenberg_finite_system(2), d=4, sample_count=32)
         assert 0 < report.A <= report.B
@@ -348,37 +331,6 @@ class TestFrameBounds:
     def test_report_rejects_invalid_bounds(self, a, b):
         with pytest.raises(ValueError):
             frame_core.FrameReport(a, b, 0.0, 1.0)
-
-
-GATE_SYSTEMS = {
-    "dps-3": lambda: heisenberg_finite_system(3),
-    "dps-15": lambda: heisenberg_finite_system(15),
-    "spin-4": lambda: moyal_system(SpinParams(4), sphere_grid(SpinParams(4))),
-    "spin-10": lambda: moyal_system(SpinParams(10), sphere_grid(SpinParams(10))),
-    "homodyne-32": lambda: homodyne_system(FockSpace(32), PolarGrid(6.0, 48, 64)),
-    "homodyne-12": lambda: homodyne_system(FockSpace(12), PolarGrid(4.0, 32, 32)),
-    "su11-8": lambda: su11_system(DiscreteSeriesRep(1.0, 8), SUGrid(6.0, 80, 16)),
-    "two-mode-3": lambda: multimode_system([FockSpace(3)] * 2, [PolarGrid(3.0, 4, 6)] * 2),
-}
-
-
-class TestBlockLabels:
-    # the numpy labelling against scipy's connected components: same blocks, same numbering
-    @pytest.mark.parametrize("name", sorted(GATE_SYSTEMS))
-    def test_gate_system_grams(self, name):
-        pattern = frame_core._mixed_gram(GATE_SYSTEMS[name]()) != 0
-        _, want = connected_components(pattern, directed=False)
-        assert np.array_equal(frame_core._block_labels(pattern), want)
-
-    @pytest.mark.parametrize("n,density", [(1, 0.5), (7, 0.2), (60, 0.02), (200, 0.005),
-                                           (200, 0.05), (300, 0.0)])
-    def test_random_sparse_symmetric_patterns(self, n, density):
-        rng = np.random.default_rng(n)
-        for _ in range(5):
-            pattern = rng.random((n, n)) < density
-            pattern |= pattern.T
-            _, want = connected_components(pattern, directed=False)
-            assert np.array_equal(frame_core._block_labels(pattern), want)
 
 
 class TestRegularizer:

@@ -262,7 +262,7 @@ class TestSystem:
             su11_system(DiscreteSeriesRep(1.0, 4), SUGrid(2.0, 10, 4))
 
     def test_phase_closure_matches_direct(self):
-        # B carries charges +r and pi carries -r: both equal direct builds at every node
+        # B and pi both carry charges +r: both equal direct builds at every node
         rep = DiscreteSeriesRep(1.0, 8)
         sys = su11_system(rep, SUGrid(3.0, 6, 8))
         for node in sys.grid.nodes:
@@ -285,8 +285,8 @@ class TestSystem:
         assert np.abs(rec - rec_sum).max() < 1e-10
 
     def test_roundtrip_matches_sample_path_aliased(self):
-        # n_phi 8 aliases the charge differences of B (+r) and pi (-r) at cutoff 10;
-        # the pairings and the reconstruction read the frame operator
+        # n_phi 8 aliases the charge differences r_a - r_b of B and pi (both +r) at
+        # cutoff 10; the pairings and the reconstruction read the frame operator
         rep = DiscreteSeriesRep(1.0, 10)
         grid = SUGrid(4.0, 30, 8)
         sys = su11_system(rep, grid)
@@ -301,6 +301,21 @@ class TestSystem:
             want = loop_reference.roundtrip(sys, Operator(unit))
             got = biorthogonality_check(rep, grid, indices)
             assert abs(got - want[l, q]) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("cutoff", [8, 10])
+    def test_reconstruction_is_covariant(self, cutoff):
+        # both families carry charges +r, so conjugating rho by U = diag(e^{0.7 i r})
+        # conjugates the reconstruction; with pi at charges -r it is 0.20 and 0.09
+        # off relative to the reconstruction
+        rep, grid = DiscreteSeriesRep(1.0, cutoff), SUGrid(6.0, 80, 16)
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+        rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+        u = np.exp(0.7j * np.arange(cutoff))
+        rec = reconstruct_su11(DensityMatrix(Operator(rho)), rep, grid).entries
+        moved = reconstruct_su11(DensityMatrix(Operator(u[:, None] * rho * u.conj())), rep, grid)
+        assert np.linalg.norm(moved.entries - u[:, None] * rec * u.conj()) <= (
+            1e-13 * np.linalg.norm(rec))
 
     def test_reconstruction_lies_in_algebra_span(self):
         # output is always a combination of Kz, K+, K- (plus nothing else)
