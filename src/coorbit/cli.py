@@ -30,7 +30,7 @@ import sys as _sys
 import numpy as np
 
 from . import cv_tomo, discrete_ps, spin_moyal, su11_tomo, symplectic_tomo
-from .frame_core import admissibility_constant, frame_bounds, roundtrip
+from .frame_core import admissibility_constant, analyze, frame_bounds, roundtrip
 from .opalg import DensityMatrix, Operator, closest_density, fidelity
 
 SYSTEMS = ("spin", "dps", "homodyne", "symplectic", "su11")
@@ -307,41 +307,36 @@ def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
         raise ConfigError(f"emit kind {kind!r} is not supported for system {name!r}")
     params = _params(doc, "emit")
     with _blame(params, "params"):
-        header, rows = _emit_rows(doc, kind, params)
+        header, fmt, columns = _emit_columns(doc, kind, params)
+    rows = (fmt % tuple(row) for row in np.column_stack(columns).tolist())  # %.17g as in _fmt
     return _write(out_path, "\n".join([header, *rows]))
 
 
-def _emit_rows(doc: dict, kind: str, params: dict):
+def _emit_columns(doc: dict, kind: str, params: dict):
+    """The CSV header, the %-format of one row and the columns it formats."""
     if kind == "wigner":
         N = params["N"]
         w = discrete_ps.discrete_wigner(_state(doc, kind="fock", n=0, d=N), N)
-        header = "q,p,W"
-        rows = [f"{q},{p},{_fmt(w[q, p])}" for q in range(2 * N) for p in range(2 * N)]
-    elif kind == "qfunc":
+        return "q,p,W", "%d,%d,%.17g", (*np.divmod(np.arange(w.size), 2 * N), w.ravel())
+    if kind == "qfunc":
         rho = _state(doc, kind="fock", n=0, d=params["d"])
-        header = "alpha_re,alpha_im,value_re,value_im"
-        r, ph = np.array(_polar_grid(params).to_index_grid().nodes).T
+        r, ph = _polar_grid(params).to_index_grid().nodes.T
         alphas = r * np.exp(1j * ph)
-        rows = [f"{_fmt(a.real)},{_fmt(a.imag)},{_fmt(q)},{_fmt(0.0)}"
-                for a, q in zip(alphas, cv_tomo.qfunctions(rho, alphas))]
-    elif kind == "marginal":
+        q = cv_tomo.qfunctions(rho, alphas)
+        header = "alpha_re,alpha_im,value_re,value_im"
+        return header, "%.17g,%.17g,%.17g,0", (alphas.real, alphas.imag, q)
+    if kind == "marginal":
         rho = _state(doc, kind="fock", n=0, d=params["d"])
         mu, nu = params["mu"], params["nu"]
         x_nodes = np.linspace(-4, 4, params["n_X"])
         w = symplectic_tomo.marginal(rho, mu, nu, x_nodes)
-        header = "X,mu,nu,w"
-        rows = [f"{_fmt(x)},{_fmt(mu)},{_fmt(nu)},{_fmt(wi)}" for x, wi in zip(x_nodes, w)]
-    else:  # symbols
-        p, grid = _spin_grid(params)
-        rho = _state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
-        samples = spin_moyal.spin_symbols(p, rho, grid)
-        header = "theta,phi,weight,symbol_re,symbol_im"
-        ig = grid.to_index_grid(p)
-        rows = [
-            f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
-            for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)
-        ]
-    return header, rows
+        return "X,mu,nu,w", f"%.17g,{_fmt(mu)},{_fmt(nu)},%.17g", (x_nodes, w)
+    p, grid = _spin_grid(params)  # symbols
+    rho = _state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
+    sys_obj = spin_moyal.moyal_system(p, grid, allow_underresolved=True)
+    values = analyze(sys_obj, rho.op).values
+    columns = (*sys_obj.grid.nodes.T, sys_obj.grid.weights, values.real, values.imag)
+    return "theta,phi,weight,symbol_re,symbol_im", ",".join(["%.17g"] * 5), columns
 
 
 def main(argv=None) -> int:

@@ -221,7 +221,7 @@ def displaced_parity(f: FockSpace, alpha: complex) -> Operator:
     # highest retained level plus a decay margin.
     xi_cutoff = math.sqrt(4 * f.d + 80) + 2 * abs(alpha)
     sys = homodyne_system(f, PolarGrid(xi_cutoff, 192, 64))
-    r, ph = np.array(sys.grid.nodes).T
+    r, ph = sys.grid.nodes.T
     xi = r * np.exp(1j * ph)
     kernel = np.exp(alpha * np.conj(xi) - np.conj(alpha) * xi)
     return synthesize(sys, SampleVector(kernel, sys.grid.grid_id))
@@ -319,7 +319,8 @@ def multimode_system(modes, grids) -> TomographicSystem:
     if len(systems) == 1:
         return systems[0]
     s1, s2 = systems
-    nodes = tuple(n1 + n2 for n1 in s1.grid.nodes for n2 in s2.grid.nodes)
+    n1, n2 = s1.grid.nodes, s2.grid.nodes
+    nodes = np.hstack((np.repeat(n1, len(n2), axis=0), np.tile(n2, (len(n1), 1))))
     grid = IndexGrid(nodes, np.outer(s1.grid.weights, s2.grid.weights).ravel())
     # Node (i, j) is A1_i (x) A2_j: slice A1_i (x) S2_r for every mode-1 node
     # i and mode-2 slice r, with mode 2's charges on the second factor.

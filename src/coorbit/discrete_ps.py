@@ -125,15 +125,22 @@ def heisenberg_finite_system(N: int) -> TomographicSystem:
     operator basis, so the round trip is a Parseval identity (frame bounds
     A = B = 1 and P = 1). The charges arange(N) move no node (n_phi = 1);
     U(q, p) holds only entries with a - b = q mod N, so the frame operator
-    splits into N classes keyed by (a - b) mod N.
+    splits into N classes keyed by (a - b) mod N. The slices are one scatter
+    U[(b + q) mod N, b] = v_p[b] e^{i pi (pq mod 2N) / N}, with the clock rows
+    v_p and the 2N phases evaluated as in :func:`displacement_discrete`.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    points = FiniteLattice(N).coarse_points
-    ops = np.array([displacement_discrete(N, q, p).entries for q, p in points])
-    family = SliceFamily(ops, np.arange(N))
+    n, k = np.arange(N), np.arange(N * N)
+    # Python-int p and m give the arithmetic, so the doubles, of displacement_discrete
+    clock = np.array([np.exp(2j * math.pi * p * n / N) for p in range(N)])
+    phase = np.array([np.exp(1j * math.pi * m / N) for m in range(2 * N)])
+    q, p = np.divmod(k, N)
+    slices = np.zeros((N * N, N, N), dtype=complex)
+    slices[k[:, None], (n + q[:, None]) % N, n] = clock[p] * phase[q * p % (2 * N), None]
+    family = SliceFamily(slices, n)
     return TomographicSystem(
-        grid=IndexGrid(tuple(points), np.full(N * N, 1 / N)),
+        grid=IndexGrid(np.column_stack((q, p)), np.full(N * N, 1 / N)),
         analysis_family=family,
         synthesis_family=family,
         vacuum=Operator(np.eye(N)),

@@ -1,5 +1,7 @@
 """Generic analysis/synthesis engine over an index grid.
 
+An :class:`IndexGrid` holds its nodes as one read-only (n, k) coordinate
+array beside the weights; its id hashes their bytes.
 A :class:`TomographicSystem` pairs a quadrature grid with an analysis family
 F (samples ``Tr(O F_k^dag)``) and a synthesis family G (``sum_k w_k s_k G_k``
 rebuilds O). A family is stored as its phase-0 ``slices`` (n_s, d, d) and a
@@ -36,7 +38,6 @@ node (:func:`expand_family`).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,21 +52,22 @@ from .opalg import Operator, hs_inner
 class IndexGrid:
     """Quadrature nodes over the index set with positive measure weights.
 
-    Each node is a tuple of coordinates (the full group coordinates of the
-    point); the node ordering is fixed at construction and preserved by
-    serialization, so all reductions are deterministic.
+    ``nodes`` is a read-only (n, k) float array whose row i holds the full
+    group coordinates of node i (a sequence of tuples is accepted); the node
+    order is fixed at construction, so all reductions are deterministic.
     """
 
-    nodes: tuple
+    nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = tuple(tuple(float(c) for c in node) for node in self.nodes)
-        weights = np.asarray(self.weights, dtype=float).copy()
-        if weights.ndim != 1 or len(nodes) != weights.shape[0]:
-            raise ValueError("weights must be a vector aligned with nodes")
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        if nodes.ndim != 2 or weights.ndim != 1 or len(nodes) != len(weights):
+            raise ValueError("nodes must be (n, k) coordinates with a weight per node")
         if not np.all(weights > 0):
             raise ValueError("all grid weights must be positive")
+        nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -75,10 +77,10 @@ class IndexGrid:
 
     @property
     def grid_id(self) -> str:
-        """Content hash of the serialized grid, computed on first read."""
+        """SHA-256 of the coordinate bytes, then the weight bytes, computed on first read."""
         gid = self.__dict__.get("_grid_id")
         if gid is None:
-            gid = hashlib.sha256(grid_to_json(self).encode()).hexdigest()[:16]
+            gid = hashlib.sha256(self.nodes.tobytes() + self.weights.tobytes()).hexdigest()[:16]
             object.__setattr__(self, "_grid_id", gid)
         return gid
 
@@ -90,7 +92,7 @@ def phase_circle(n_phi: int) -> np.ndarray:
 
 def slice_major_grid(radial, radial_weights, n_phi: int) -> IndexGrid:
     """Nodes (r_i, phi_j) on the phase circle with weight radial_weights[i], in r-major order."""
-    nodes = tuple((float(r), float(ph)) for r in radial for ph in phase_circle(n_phi))
+    nodes = np.column_stack((np.repeat(radial, n_phi), np.tile(phase_circle(n_phi), len(radial))))
     return IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), n_phi))
 
 
@@ -208,9 +210,12 @@ class TomographicSystem:
         return _frame_operator(self)
 
 
-def _node_view(nodes: tuple, phis: np.ndarray, family: SliceFamily):
+def _node_view(nodes: np.ndarray, phis: np.ndarray, family: SliceFamily):
     def at(node) -> Operator:
-        s, p = divmod(nodes.index(tuple(node)), len(phis))
+        k = np.flatnonzero((nodes == node).all(axis=1)) if len(node) == nodes.shape[1] else ()
+        if not len(k):
+            raise ValueError(f"{node} is not a grid node")
+        s, p = divmod(int(k[0]), len(phis))
         u = np.exp(1j * phis[p] * np.asarray(family.charges))
         return Operator(u[:, None] * family.slices[s] * u.conj())
 
@@ -437,12 +442,3 @@ def frame_bounds(
     b = math.sqrt(max(hi, 0.0))
     return FrameReport(a, b, lo, hi)
 
-
-def grid_to_json(grid: IndexGrid) -> str:
-    """The grid as JSON, floats in their shortest round-trip form: the input to ``grid_id``."""
-    return json.dumps(
-        {
-            "nodes": [{"coords": list(node)} for node in grid.nodes],
-            "weights": list(grid.weights),
-        }
-    )

@@ -166,7 +166,7 @@ def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
 
 def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     index_grid = grid.to_index_grid()
-    theta = np.array(index_grid.nodes[:: grid.n_phi])[:, 0]
+    theta = index_grid.nodes[:: grid.n_phi, 0]
     _, b, pi = _slices(rep, theta)
     return TomographicSystem(
         grid=index_grid,

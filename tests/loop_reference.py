@@ -14,7 +14,10 @@ that the package replaced with numpy: the Laguerre displacement from
 engine's sampling and resummation as they were before each system cached
 its charge-difference layout: grouped, conjugated and exponentiated anew on
 every call. Of ``opalg`` it keeps the fidelity through rho's own square
-root and the PSD test of ``DensityMatrix`` by its full spectrum.
+root and the PSD test of ``DensityMatrix`` by its full spectrum. Of the
+grids and the CLI it keeps the slice-major grid built node by node as
+tuples of Python floats, and the ``emit`` CSV rows formatted one value at a
+time.
 """
 
 import math
@@ -24,8 +27,10 @@ import numpy as np
 import scipy.linalg
 from scipy.special import eval_genlaguerre, gammaln
 
-from coorbit import frame_core
-from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator, wigner_point
+from coorbit import cli, discrete_ps, frame_core, spin_moyal, symplectic_tomo
+from coorbit.cli import _fmt
+from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator, qfunctions
+from coorbit.cv_tomo import wigner_point
 from coorbit.opalg import PSD_TOL, Operator, eig_hermitian, matrix_exp
 from coorbit.discrete_ps import displacement_discrete, point_operator
 from coorbit.spin_moyal import _angular_momentum
@@ -266,3 +271,36 @@ def psd_lowest(m):
     """Minimum eigenvalue of the symmetrized m, and whether it passes -PSD_TOL."""
     lowest = np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
     return lowest, lowest >= -PSD_TOL
+
+
+def slice_major_grid(radial, radial_weights, n_phi):
+    """The slice-major grid built one node at a time, each node a tuple of Python floats."""
+    nodes = tuple((float(r), float(ph)) for r in radial for ph in frame_core.phase_circle(n_phi))
+    return frame_core.IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), n_phi))
+
+
+def emit_rows(doc, kind):
+    """The CSV rows of ``coorbit emit``, one ``_fmt`` call per value."""
+    params = cli._params(doc, "emit")
+    if kind == "wigner":
+        N = params["N"]
+        w = discrete_ps.discrete_wigner(cli._state(doc, kind="fock", n=0, d=N), N)
+        return [f"{q},{p},{_fmt(w[q, p])}" for q in range(2 * N) for p in range(2 * N)]
+    if kind == "qfunc":
+        rho = cli._state(doc, kind="fock", n=0, d=params["d"])
+        r, ph = np.array(cli._polar_grid(params).to_index_grid().nodes.tolist()).T
+        alphas = r * np.exp(1j * ph)
+        return [f"{_fmt(a.real)},{_fmt(a.imag)},{_fmt(q)},{_fmt(0.0)}"
+                for a, q in zip(alphas, qfunctions(rho, alphas))]
+    if kind == "marginal":
+        rho = cli._state(doc, kind="fock", n=0, d=params["d"])
+        mu, nu = params["mu"], params["nu"]
+        x_nodes = np.linspace(-4, 4, params["n_X"])
+        w = symplectic_tomo.marginal(rho, mu, nu, x_nodes)
+        return [f"{_fmt(x)},{_fmt(mu)},{_fmt(nu)},{_fmt(wi)}" for x, wi in zip(x_nodes, w)]
+    p, grid = cli._spin_grid(params)
+    rho = cli._state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
+    samples = spin_moyal.spin_symbols(p, rho, grid)
+    ig = grid.to_index_grid(p)
+    return [f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
+            for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coorbit
+import loop_reference
 from coorbit.cli import build_state, load_config, main
 
 
@@ -300,6 +301,20 @@ class TestEmit:
         lines = out.read_text().splitlines()
         assert lines[0] == "X,mu,nu,w"
         assert len(lines) == 22
+
+    @pytest.mark.parametrize("kind, doc", [
+        ("wigner", {"system": "dps", "params": {"N": 5}}),
+        ("qfunc", {"system": "homodyne", "params": {"d": 6, "R": 3.0, "n_r": 7, "n_phi": 9}}),
+        ("marginal", {"system": "symplectic", "params": {"d": 6, "n_X": 21, "mu": -0.7,
+                                                          "nu": 1.3}}),
+        ("symbols", {"system": "spin", "params": {"two_s": 3}}),
+    ], ids=["wigner", "qfunc", "marginal", "symbols"])
+    def test_rows_equal_per_value_formatting(self, tmp_path, kind, doc):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "rows.csv"
+        assert main(["emit", "--config", path, "--out", str(out), "--kind", kind]) == 0
+        want = loop_reference.emit_rows(load_config(path, {}), kind)
+        assert out.read_text().splitlines()[1:] == want
 
     def test_unsupported_combination(self, tmp_path, capsys):
         path = dps_config(tmp_path)

@@ -227,3 +227,14 @@ class TestSystem:
         assert len(lat.fine_points) == 16
         with pytest.raises(ValueError):
             FiniteLattice(0)
+
+    def test_slices_equal_displacement_discrete(self):
+        # Exact equality: every nonzero component is the same double. A zero
+        # may differ only in sign, which the oracle's matrix product takes
+        # from its BLAS kernel.
+        for n in range(2, 25):
+            sys = heisenberg_finite_system(n)
+            want = np.array([displacement_discrete(n, q, p).entries
+                             for q in range(n) for p in range(n)])
+            assert np.array_equal(sys.analysis_family.slices, want)
+            assert np.array_equal(sys.grid.nodes, [(q, p) for q in range(n) for p in range(n)])

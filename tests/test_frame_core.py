@@ -1,13 +1,15 @@
 import dataclasses
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
 
-from coorbit import frame_core
+import loop_reference
+from coorbit import cv_tomo, frame_core, spin_moyal, su11_tomo
 from coorbit.cv_tomo import FockSpace, PolarGrid, homodyne_system, multimode_system
-from coorbit.discrete_ps import heisenberg_finite_system
+from coorbit.discrete_ps import displacement_discrete, heisenberg_finite_system
 from coorbit.frame_core import (
     IndexGrid,
     RegularizerSpec,
@@ -17,7 +19,6 @@ from coorbit.frame_core import (
     check_vacuum_invariance,
     coorbit_norm,
     frame_bounds,
-    grid_to_json,
     roundtrip,
     synthesize,
 )
@@ -47,16 +48,75 @@ class TestIndexGrid:
         assert g1.grid_id != g2.grid_id
         assert g1.grid_id == IndexGrid(g1.nodes, g1.weights).grid_id
 
-    def test_grid_id_serializes_once(self, monkeypatch):
+    def test_nodes_are_a_read_only_float_array(self):
+        coords = np.array([[0, 1], [2, 3], [4, 5]])
+        grid = IndexGrid(coords, [1.0, 2.0, 3.0])
+        assert grid.nodes.dtype == float and grid.nodes.shape == (3, 2)
+        assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+        with pytest.raises(ValueError):
+            grid.nodes[0, 0] = 7.0
+        assert coords.flags.writeable  # the grid holds its own copy
+        assert np.array_equal(IndexGrid(((0, 1), (2, 3), (4, 5)), grid.weights).nodes, coords)
+        with pytest.raises(ValueError):
+            IndexGrid((0.0, 1.0), [1.0, 1.0])  # one coordinate row per node
+
+    def test_grid_id_hashed_once(self, monkeypatch):
         grid = IndexGrid(((0.0, 1.5), (2.0, 0.25)), np.array([1.0, 3.0]))
-        expect = hashlib.sha256(grid_to_json(grid).encode()).hexdigest()[:16]
+        expect = hashlib.sha256(grid.nodes.tobytes() + grid.weights.tobytes()).hexdigest()[:16]
         calls = []
-        monkeypatch.setattr(
-            frame_core, "grid_to_json", lambda g: calls.append(g) or grid_to_json(g)
-        )
+        counting = types.SimpleNamespace(sha256=lambda b: calls.append(b) or hashlib.sha256(b))
+        monkeypatch.setattr(frame_core, "hashlib", counting)
         assert grid.grid_id == expect
         assert grid.grid_id == expect
         assert len(calls) == 1
+        monkeypatch.undo()
+        for index in np.ndindex(grid.nodes.shape):
+            nodes = grid.nodes.copy()
+            nodes[index] += 0.5
+            assert IndexGrid(nodes, grid.weights).grid_id != expect
+        for i in range(len(grid)):
+            weights = grid.weights.copy()
+            weights[i] += 0.5
+            assert IndexGrid(grid.nodes, weights).grid_id != expect
+        assert IndexGrid(grid.nodes, grid.weights).grid_id == expect
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cv_tomo.PolarGrid(3.0, 7, 5).to_index_grid(),
+            lambda: spin_moyal.sphere_grid(SpinParams(3)).to_index_grid(SpinParams(3)),
+            lambda: spin_moyal.sphere_grid(SpinParams(2), 4, 1).to_index_grid(SpinParams(2)),
+            lambda: su11_tomo.SUGrid(4.0, 9, 6).to_index_grid(),
+        ],
+        ids=["polar", "sphere", "sphere-one-phi", "su"],
+    )
+    def test_grids_equal_tuple_construction(self, build, monkeypatch):
+        got = build()
+        for module in (cv_tomo, spin_moyal, su11_tomo):
+            monkeypatch.setattr(module, "slice_major_grid", loop_reference.slice_major_grid)
+        want = build()
+        assert got.nodes.tobytes() == want.nodes.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.grid_id == want.grid_id
+
+    def test_node_views_find_every_node(self):
+        sys = heisenberg_finite_system(4)
+        for q in range(4):
+            for p in range(4):
+                want = displacement_discrete(4, q, p).entries
+                assert np.array_equal(sys.analysis((q, p)).entries, want)
+                assert np.array_equal(sys.synthesis(np.array([q, p])).entries, want)
+        for node in [(0.5, 0.0), (0.0,), (0.0, 0.0, 0.0)]:
+            with pytest.raises(ValueError, match="not a grid node"):
+                sys.analysis(node)
+        grids = [PolarGrid(2.0, 2, 3), PolarGrid(2.0, 2, 2)]
+        s1, s2 = (homodyne_system(FockSpace(2), g) for g in grids)
+        pair = multimode_system([FockSpace(2), FockSpace(2)], grids)
+        nodes = iter(pair.grid.nodes)
+        for n1 in s1.grid.nodes:
+            for n2 in s2.grid.nodes:
+                want = np.kron(s1.analysis(n1).entries, s2.analysis(n2).entries)
+                assert np.abs(pair.analysis(next(nodes)).entries - want).max() < 1e-12
 
 
 class TestAnalyzeSynthesize:
