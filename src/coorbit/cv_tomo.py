@@ -26,7 +26,6 @@ from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem,
 from .frame_core import singular_admissibility, slice_major_grid, synthesize
 from .opalg import DensityMatrix, Operator
 
-PAD = 16  # extra Fock levels for products that suffer truncation edge effects
 WIGNER_CHUNK = 1 << 18  # matrix entries per displacement stack in wigner_points
 
 

@@ -41,20 +41,21 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .opalg import Operator, hs_inner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexGrid:
     """Quadrature nodes over the index set with positive measure weights.
 
     ``nodes`` is a read-only (n, k) float array whose row i holds the full
     group coordinates of node i (a sequence of tuples is accepted); the node
     order is fixed at construction, so all reductions are deterministic.
+    Grids compare and hash by identity; ``grid_id`` compares their content.
     """
 
     nodes: np.ndarray
@@ -146,7 +147,7 @@ class SliceFamily(NamedTuple):
     charges: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographicSystem:
     """Grid plus paired analysis/synthesis operator families.
 
@@ -157,7 +158,7 @@ class TomographicSystem:
     synthesis family, and the ``test_functional`` operator L0 realizes the
     analysis functional through the trace pairing. Each family's layout and
     the frame operator are cached on first use; a self-dual system (the same
-    family object) has one layout.
+    family object) has one layout. Systems compare and hash by identity.
     """
 
     grid: IndexGrid
@@ -382,26 +383,6 @@ def singular_admissibility(
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise ValueError("singular admissibility quadrature diverged")
     return total
-
-
-def check_vacuum_invariance(
-    sys: TomographicSystem, subgroup_samples: Sequence[Operator]
-) -> list:
-    """Verify the vacuum is fixed (up to phase) by stabilizer elements.
-
-    Each sample h acts on the vacuum by conjugation; the report lists the
-    best-fit proportionality factor chi(h) and the residual
-    ||h b0 h^dag - chi b0||. Reporting only — nothing is asserted here.
-    """
-    b0 = sys.vacuum
-    nsq = hs_inner(b0, b0).real
-    report = []
-    for h in subgroup_samples:
-        moved = h.entries @ b0.entries @ h.entries.conj().T
-        chi = complex(np.vdot(b0.entries, moved)) / nsq if nsq > 0 else 0j
-        residual = float(np.linalg.norm(moved - chi * b0.entries))
-        report.append({"chi": chi, "residual": residual})
-    return report
 
 
 def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:

@@ -13,24 +13,33 @@ cannot achieve at the tolerances used here.
 
 Reconstruction inverts the marginals through the kernel operator
 
-    K(X, mu, nu) = (1/2pi) e^{iX} e^{-i (mu q + nu p)}
-                 = (1/2pi) e^{iX} e^{-i mu nu / 2} e^{-i nu p} e^{-i mu q},
+    K(X, mu, nu) = (1/2pi) e^{iX} e^{-i (mu q + nu p)} = (1/2pi) e^{iX} D(alpha),
+    alpha = (nu - i mu) / sqrt 2
 
-with a Gaussian regularizer damping large (mu, nu). The scalar phase
-e^{-i mu nu / 2} is fixed by the operator identity splitting
-e^{-i(mu q + nu p)} with [q, p] = i; with it the regularized vacuum
-fidelity equals delta^2 / (delta^2 + 1) exactly.
+(Mancini, Man'ko & Tombesi, Phys. Lett. A 213, 1 (1996)), so the kernel
+family is the homodyne displacement family and the measure dmu dnu / 2pi is
+d^2 alpha / pi. The X integral of w against e^{iX} is the characteristic
+function chi(mu, nu) = Tr(rho e^{i (mu q + nu p)}), taken by Gauss-Legendre
+quadrature of the closed-form marginals at every node of a polar grid in
+alpha: radius L / sqrt 2 (so s = sqrt(2) |alpha| <= L), n_mn radial nodes
+and 2d angles, which keep every charge difference up to +-(d - 1) apart.
+The samples chi R_delta(s), damped by a Gaussian regularizer, are resummed
+by ``frame_core.synthesize`` over ``cv_tomo.homodyne_system``. A ladder of
+widths delta shares one system and one chi; only the scaling changes. The
+regularized vacuum fidelity is delta^2 / (delta^2 + 1) up to the disc and
+Fock truncation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cv_tomo import FockSpace, PAD, lowering, wigner_points
-from .frame_core import RegularizerSpec
+from .cv_tomo import FockSpace, PolarGrid, displacement_cv, homodyne_system, wigner_points
+from .frame_core import RegularizerSpec, SampleVector, synthesize
 from .opalg import DensityMatrix, Operator, closest_density, fidelity
 
 
@@ -38,8 +47,10 @@ from .opalg import DensityMatrix, Operator, closest_density, fidelity
 class MarginalGrid:
     """Quadrature grid for the (X, mu, nu) reconstruction integral.
 
-    X on [-X_max, X_max] and (mu, nu) each on [-L, L], all Gauss-Legendre,
-    with a Gaussian regularizer of width delta on the (mu, nu) radius.
+    X = s y with y on [-X_max, X_max] (n_X Gauss-Legendre nodes), and (mu, nu)
+    on the disc s <= L: n_mn Gauss-Legendre radial nodes times 2d uniform
+    angles for Fock dimension d. A Gaussian regularizer of width delta damps
+    large s.
     """
 
     X_max: float
@@ -56,11 +67,6 @@ class MarginalGrid:
     def X_quadrature(self):
         x, w = np.polynomial.legendre.leggauss(self.n_X)
         return x * self.X_max, w * self.X_max
-
-    @property
-    def mn_quadrature(self):
-        x, w = np.polynomial.legendre.leggauss(self.n_mn)
-        return x * self.L, w * self.L
 
 
 def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
@@ -97,65 +103,45 @@ def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> n
     return (phases @ _diagonal_sums(rho, np.asarray(X_nodes, dtype=float) / s)).real / s
 
 
-def _quadrature_factors(d_pad: int):
-    a = lowering(d_pad)
-    q = (a + a.conj().T) / math.sqrt(2)
-    p = (a - a.conj().T) / (1j * math.sqrt(2))
-    wq, vq = np.linalg.eigh(q)
-    wp, vp = np.linalg.eigh(p)
-    return (wq, vq), (wp, vp)
-
-
-def _exp_stack(factor, ts) -> np.ndarray:
-    """e^{-i t X} = v diag(e^{-i t w}) v^dag for every t, with factor = (w, v) of X."""
-    w, v = factor
-    return (v * np.exp(-1j * np.multiply.outer(ts, w))[:, None, :]) @ v.conj().T
-
-
 def kernel_K(f: FockSpace, X: float, mu: float, nu: float) -> Operator:
-    """Kernel operator (1/2pi) e^{iX} e^{-i mu nu / 2} e^{-i nu p} e^{-i mu q}."""
-    qf, pf = _quadrature_factors(f.d + PAD)
-    eq, ep = _exp_stack(qf, [mu])[0], _exp_stack(pf, [nu])[0]
-    mat = (np.exp(1j * X - 0.5j * mu * nu) / (2 * math.pi)) * (ep @ eq)
-    return Operator(mat[: f.d, : f.d])
+    """Kernel operator (1/2pi) e^{iX} D((nu - i mu) / sqrt 2) at one (X, mu, nu).
 
-
-def _reconstructions(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace, regularizers):
-    """One reconstruction per regularizer, sharing the coefficients and the kernel factors.
-
-    In the scaled variable X = s y the direction (mu_i, nu_j) has coefficient
-    c = sum_k e^{-i gamma k} sum_y w_y e^{i s y} D_k(y): one product over
-    every distinct s. The s = 0 node keeps the exact value Tr(rho). The kernel sum
-    over directions is factored as sum_j ep_j (sum_i coef_ij reg(s_ij) eq_i)
-    on the low d x d block.
+    With [q, p] = i it equals (1/2pi) e^{iX} e^{-i mu nu / 2} e^{-i nu p} e^{-i mu q}.
     """
-    d, (y, yw), (mus, mws) = rho.dim, grid.X_quadrature, grid.mn_quadrature
-    mu, nu = np.meshgrid(mus, mus, indexing="ij")
-    s2 = mu * mu + nu * nu
-    # ~n_mn^2 / 8 distinct s (symmetric nodes); einsum: OpenBLAS threads this thin product
-    s_values, s_index = np.unique(np.hypot(mu, nu), return_inverse=True)
-    e_isy = yw[:, None] * np.exp(1j * np.multiply.outer(y, s_values))
-    h = np.einsum("ky,ys->ks", _diagonal_sums(rho, y), e_isy)[:, s_index.ravel()]
-    phases = np.exp(-1j * np.multiply.outer(np.arange(1 - d, d), np.arctan2(nu, mu).ravel()))
-    c = np.sum(phases * h, axis=0).reshape(s2.shape)
-    c[s2 < 1e-14] = np.trace(rho.op.entries)
-    coef = np.outer(mws, mws) * c * np.exp(-0.5j * mu * nu) / (2 * math.pi)
-    n, dp = len(mus), f.d + PAD
-    qf, pf = _quadrature_factors(dp)
-    eq = _exp_stack(qf, mus)[:, :, : f.d].reshape(n, dp * f.d)
-    ep = _exp_stack(pf, mus)[:, : f.d].transpose(1, 0, 2).reshape(f.d, n * dp)
-    regs = [coef * reg(np.sqrt(s2)) for reg in regularizers]
-    return [Operator(ep @ (r.T @ eq).reshape(n * dp, f.d)) for r in regs]
+    alpha = (nu - 1j * mu) / math.sqrt(2)
+    return Operator(cmath.exp(1j * X) / (2 * math.pi) * displacement_cv(f, alpha).entries)
+
+
+def _characteristic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace):
+    """The grid's homodyne system, chi at each of its nodes from the marginals, and s there.
+
+    Node (r, phi) is alpha = r e^{i phi}: s = sqrt(2) r and gamma = atan2(nu, mu)
+    = phi + pi/2. In the scaled variable X = s y,
+    chi = sum_k e^{-i gamma k} sum_y w_y e^{i s y} D_k(y), one product per radial node.
+    """
+    polar = PolarGrid(grid.L / math.sqrt(2), grid.n_mn, 2 * f.d)
+    sys, (y, yw), d = homodyne_system(f, polar), grid.X_quadrature, rho.dim
+    s = math.sqrt(2) * polar.radial[0]
+    # einsum, not BLAS: OpenBLAS threads these thin products
+    e_isy = yw[:, None] * np.exp(1j * np.multiply.outer(y, s))
+    h = np.einsum("ky,ys->sk", _diagonal_sums(rho, y), e_isy)
+    phases = np.exp(-1j * np.multiply.outer(sys.phis + math.pi / 2, np.arange(1 - d, d)))
+    return sys, np.einsum("sk,pk->sp", h, phases).ravel(), np.repeat(s, len(sys.phis))
+
+
+def _ladder(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace, regularizers) -> list:
+    """One reconstruction per regularizer, from one system and one chi scaled by each R(s)."""
+    sys, chi, s = _characteristic(rho, grid, f)
+    return [synthesize(sys, SampleVector(chi * reg(s), sys.grid.grid_id)) for reg in regularizers]
 
 
 def reconstruct_symplectic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace) -> Operator:
     """Regularized inversion of the marginals back to an operator.
 
-    The X integral against e^{iX} is folded analytically into a scalar per
-    (mu, nu) node; the remaining double quadrature applies the kernel with
-    the Gaussian damping of the grid's regularizer.
+    The X integral against e^{iX} gives chi at each polar node, and the
+    engine resums chi R_delta(s) over the displacement family.
     """
-    return _reconstructions(rho, grid, f, [grid.regularizer])[0]
+    return _ladder(rho, grid, f, [grid.regularizer])[0]
 
 
 def delta_ladder(rho: DensityMatrix, f: FockSpace, deltas, L: float = 8.0, n_mn: int = 60):
@@ -165,7 +151,7 @@ def delta_ladder(rho: DensityMatrix, f: FockSpace, deltas, L: float = 8.0, n_mn:
     measured against the input state. Only the regularizer changes with delta.
     """
     grids = [MarginalGrid(6.5, 81, L, n_mn, RegularizerSpec(delta)) for delta in deltas]
-    recs = _reconstructions(rho, grids[0], f, [g.regularizer for g in grids]) if grids else []
+    recs = _ladder(rho, grids[0], f, [g.regularizer for g in grids]) if grids else []
     fids = [fidelity(rho, closest_density(rec)) for rec in recs]
     return {"delta_ladder": [float(d) for d in deltas], "fidelity": fids}
 

@@ -1,8 +1,10 @@
 """Per-node loops of the solvers outside the engine (test oracles).
 
-``symplectic_tomo``, ``discrete_ps`` and ``su11_tomo`` evaluate their
-operators in closed form over whole grids. This module keeps the earlier
-evaluation, one node at a time: the symplectic double sum over directions,
+``symplectic_tomo`` resums through the engine, and ``discrete_ps`` and
+``su11_tomo`` evaluate their operators in closed form over whole grids.
+This module keeps the earlier
+evaluation, one node at a time: the symplectic double sum over a Cartesian
+square of directions with padded q and p exponentials,
 the lattice Wigner function and point reconstruction through 2N x 2N point
 operators, each point operator as a Fourier sum over displacements, the
 SU(1,1) group element through truncated power series of the ladder
@@ -29,13 +31,15 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from coorbit import cli, discrete_ps, frame_core, spin_moyal, symplectic_tomo
 from coorbit.cli import _fmt
-from coorbit.cv_tomo import PAD, FockSpace, displacement_cv, lowering, parity_operator, qfunctions
+from coorbit.cv_tomo import FockSpace, displacement_cv, lowering, parity_operator, qfunctions
 from coorbit.cv_tomo import wigner_point
 from coorbit.opalg import PSD_TOL, Operator, eig_hermitian, matrix_exp
 from coorbit.discrete_ps import displacement_discrete, point_operator
 from coorbit.spin_moyal import _angular_momentum
 from coorbit.su11_tomo import _kplus, generators
-from coorbit.symplectic_tomo import _quadrature_factors, hermite_functions, marginal
+from coorbit.symplectic_tomo import hermite_functions, marginal
+
+PAD = 16  # extra Fock levels for products that suffer truncation edge effects
 
 
 def _scaled_density(rho, mu, nu, y):
@@ -45,12 +49,21 @@ def _scaled_density(rho, mu, nu, y):
     return np.einsum("my,mn,ny->y", amp.conj(), rho.op.entries, amp).real
 
 
+def _quadrature_factors(d_pad):
+    """Eigendecompositions (w, v) of q and p at dimension d_pad."""
+    a = lowering(d_pad)
+    q = (a + a.conj().T) / math.sqrt(2)
+    p = (a - a.conj().T) / (1j * math.sqrt(2))
+    return np.linalg.eigh(q), np.linalg.eigh(p)
+
+
 def reconstruct_symplectic(rho, grid, f):
-    """sum over (mu_i, nu_j) of the weighted coefficient times e^{-i nu p} e^{-i mu q}."""
+    """sum over the Cartesian square (mu_i, nu_j) in [-L, L]^2, n_mn Gauss-Legendre nodes a
+    side, of the weighted coefficient times e^{-i nu p} e^{-i mu q} at dimension d + PAD."""
     dp = f.d + PAD
     (wq, vq), (wp, vp) = _quadrature_factors(dp)
     y, yw = grid.X_quadrature
-    mus, mws = grid.mn_quadrature
+    mus, mws = (grid.L * v for v in np.polynomial.legendre.leggauss(grid.n_mn))
     eq_cache = [(vq * np.exp(-1j * mu * wq)) @ vq.conj().T for mu in mus]
     ep_cache = [(vp * np.exp(-1j * nu * wp)) @ vp.conj().T for nu in mus]
     acc = np.zeros((dp, dp), dtype=complex)

@@ -133,9 +133,10 @@ class TestTomoRun:
             # so frame_bounds runs 15 eigensolves of order 15, not one of 225
             ({"system": "dps", "params": {"N": 15}}, "frame_A"),
             ({"system": "spin", "params": {"two_s": 10}, "frame_bounds": True}, "frame_A"),
-            # GEMMs over every direction and every theta node
+            # characteristic samples on the polar homodyne system, resummed by the engine
             ({"system": "symplectic", "params": {"d": 10, "delta_ladder": [4.0], "n_mn": 30}},
              "ladder"),
+            # GEMMs over every theta node
             ({"system": "su11", "params": {"k": 1.0, "cutoff": 10, "theta_max_ladder": [6.0],
                                            "n_theta": 40, "n_phi": 8}},
              "thermal_admissibility"),

@@ -6,7 +6,7 @@ import pytest
 import loop_reference
 from coorbit import symplectic_tomo
 from coorbit.cv_tomo import FockSpace, coherent_state
-from coorbit.frame_core import RegularizerSpec
+from coorbit.frame_core import RegularizerSpec, analyze
 from coorbit.opalg import DensityMatrix, Operator, closest_density, fidelity
 from coorbit.symplectic_tomo import (
     MarginalGrid,
@@ -23,6 +23,11 @@ def fock_state(d, n):
     m = np.zeros((d, d), dtype=complex)
     m[n, n] = 1
     return DensityMatrix(Operator(m))
+
+
+def random_density(d, seed):
+    m = np.random.default_rng(seed).normal(size=(d, d, 2)) @ [1, 1j]
+    return DensityMatrix(Operator(m @ m.conj().T / np.trace(m @ m.conj().T).real))
 
 
 def coherent_density(d, beta):
@@ -103,6 +108,12 @@ class TestMarginal:
             marginal(fock_state(4, 0), 0.0, 0.0, np.array([0.0]))
 
 
+def padded_exponentials(d, mu, nu):
+    """e^{-i mu q} and e^{-i nu p} at dimension d + PAD, from the oracle's eigendecompositions."""
+    (wq, vq), (wp, vp) = loop_reference._quadrature_factors(d + loop_reference.PAD)
+    return (vq * np.exp(-1j * mu * wq)) @ vq.conj().T, (vp * np.exp(-1j * nu * wp)) @ vp.conj().T
+
+
 class TestKernel:
     def test_origin_value(self):
         k = kernel_K(FockSpace(5), 0.0, 0.0, 0.0).entries
@@ -117,18 +128,20 @@ class TestKernel:
     def test_factor_order_phase(self):
         # swapping e^{-i nu p} e^{-i mu q} costs exactly e^{-i mu nu}; the
         # built-in e^{-i mu nu / 2} phase symmetrizes the two orders
-        from coorbit.symplectic_tomo import _quadrature_factors
-        from coorbit.cv_tomo import PAD
-
         f = FockSpace(6)
         mu, nu = 0.9, 0.5
-        dp = f.d + PAD
-        (wq, vq), (wp, vp) = _quadrature_factors(dp)
-        eq = (vq * np.exp(-1j * mu * wq)) @ vq.conj().T
-        ep = (vp * np.exp(-1j * nu * wp)) @ vp.conj().T
+        eq, ep = padded_exponentials(f.d, mu, nu)
         lhs = (ep @ eq)[: f.d, : f.d]
         rhs = (np.exp(1j * mu * nu) * (eq @ ep))[: f.d, : f.d]
         assert np.abs(lhs - rhs).max() < 1e-10
+
+    @pytest.mark.parametrize("X, mu, nu", [(0.0, 0.9, 0.5), (1.3, 0.7, -0.4), (-0.6, -1.2, 0.8)])
+    def test_displacement_matches_padded_product(self, X, mu, nu):
+        # (1/2pi) e^{iX} e^{-i mu nu / 2} e^{-i nu p} e^{-i mu q}, padded and cropped to d
+        f = FockSpace(8)
+        eq, ep = padded_exponentials(f.d, mu, nu)
+        want = (np.exp(1j * X - 0.5j * mu * nu) / (2 * math.pi) * (ep @ eq))[: f.d, : f.d]
+        assert np.abs(kernel_K(f, X, mu, nu).entries - want).max() < 1e-13
 
     def test_scaled_unitary_on_low_block(self):
         d = 4
@@ -170,17 +183,47 @@ class TestReconstruction:
         assert fids[0] < fids[1] < fids[2]
         assert fids[-1] > 0.98
 
-    @pytest.mark.parametrize("n_mn", [30, 31])
-    def test_matches_direction_loop(self, n_mn):
-        # odd n_mn puts a node at s = 0, where the coefficient is Tr(rho)
-        rng = np.random.default_rng(n_mn)
-        for d in (6, 10):
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            rho = DensityMatrix(Operator(m @ m.conj().T / np.trace(m @ m.conj().T).real))
-            grid = MarginalGrid(6.5, 81, 8.0, n_mn, RegularizerSpec(4.0))
-            got = reconstruct_symplectic(rho, grid, FockSpace(d)).entries
-            want = loop_reference.reconstruct_symplectic(rho, grid, FockSpace(d))
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    def test_ladder_matches_cartesian_loop(self):
+        # the padded Cartesian (mu, nu) loop is off delta^2 / (delta^2 + 1) by
+        # about 2e-5 at d 10, n_mn 60; the polar ladder by about 1e-7
+        rho, f, deltas = fock_state(10, 0), FockSpace(10), (2.0, 4.0, 8.0, 12.0)
+        got = delta_ladder(rho, f, deltas, n_mn=60)["fidelity"]
+        for delta, fid in zip(deltas, got):
+            grid = MarginalGrid(6.5, 81, 8.0, 60, RegularizerSpec(delta))
+            rec = Operator(loop_reference.reconstruct_symplectic(rho, grid, f))
+            assert abs(fid - fidelity(rho, closest_density(rec))) <= 1e-4
+
+    def test_random_state_matches_cartesian_loop(self):
+        # every charge difference up to +-(d - 1) needs its own angle: with d
+        # angles instead of 2d this reads 0.41. The loop integrates over the
+        # square [-L, L]^2, whose corners beyond the disc s <= L give 3.6e-3.
+        rho, f = random_density(6, 3), FockSpace(6)
+        grid = MarginalGrid(6.5, 81, 8.0, 30, RegularizerSpec(4.0))
+        got = reconstruct_symplectic(rho, grid, f).entries
+        assert np.linalg.norm(got - loop_reference.reconstruct_symplectic(rho, grid, f)) <= 1e-2
+
+    @pytest.mark.parametrize("n_mn", [30, 60])
+    def test_vacuum_ladder_closed_form(self, n_mn):
+        deltas = (2.0, 4.0, 8.0, 12.0)
+        got = delta_ladder(fock_state(10, 0), FockSpace(10), deltas, n_mn=n_mn)["fidelity"]
+        for delta, fid in zip(deltas, got):
+            assert abs(fid - delta**2 / (delta**2 + 1)) <= 1e-6
+
+    @pytest.mark.parametrize("d", [6, 10])
+    def test_characteristic_matches_analyze(self, d):
+        # chi from the marginals' X quadrature against Tr(rho D(alpha)^dag) on the same nodes
+        rho = random_density(d, d)
+        grid = MarginalGrid(6.5, 81, 8.0, 30, RegularizerSpec(4.0))
+        sys, chi, s = symplectic_tomo._characteristic(rho, grid, FockSpace(d))
+        assert np.abs(chi - analyze(sys, rho.op).values).max() <= 1e-8
+        assert np.array_equal(s, np.sqrt(2) * sys.grid.nodes[:, 0])
+
+    def test_radial_quadrature_converged(self):
+        # n_mn 30 radial nodes against 200 on the same disc s <= L
+        rho, f = random_density(10, 11), FockSpace(10)
+        grids = (MarginalGrid(6.5, 81, 8.0, n, RegularizerSpec(4.0)) for n in (30, 200))
+        got, want = (reconstruct_symplectic(rho, grid, f) for grid in grids)
+        assert np.linalg.norm(got.entries - want.entries) <= 1e-8
 
     def test_ladder_equals_one_reconstruction_per_delta(self, monkeypatch):
         # the ladder evaluates the Hermite functions once and shares the coefficients
