@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, expand_family
-from .frame_core import singular_admissibility, slice_major_grid, synthesize
+from .frame_core import gauss_legendre, singular_admissibility, slice_major_grid, synthesize
 from .opalg import DensityMatrix, Operator
 
 WIGNER_CHUNK = 1 << 18  # matrix entries per displacement stack in wigner_points
@@ -62,7 +62,7 @@ class PolarGrid:
 
     @cached_property
     def radial(self):
-        x, w = np.polynomial.legendre.leggauss(self.n_r)
+        x, w = gauss_legendre(self.n_r)
         return (x + 1) * self.R / 2, w * self.R / 2
 
     def to_index_grid(self) -> IndexGrid:

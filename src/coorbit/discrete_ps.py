@@ -11,34 +11,11 @@ machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .frame_core import IndexGrid, SliceFamily, TomographicSystem, roundtrip
 from .opalg import DensityMatrix, Operator
-
-
-@dataclass(frozen=True)
-class FiniteLattice:
-    """Hilbert dimension N with index set G_N = {0..N-1}^2.
-
-    Point operators extend to the doubled 2N x 2N lattice.
-    """
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("lattice dimension must be positive")
-
-    @property
-    def coarse_points(self):
-        return [(q, p) for q in range(self.N) for p in range(self.N)]
-
-    @property
-    def fine_points(self):
-        return [(q, p) for q in range(2 * self.N) for p in range(2 * self.N)]
 
 
 def shift_q(N: int, m: int) -> Operator:

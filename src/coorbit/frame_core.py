@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +84,15 @@ class IndexGrid:
             gid = hashlib.sha256(self.nodes.tobytes() + self.weights.tobytes()).hexdigest()[:16]
             object.__setattr__(self, "_grid_id", gid)
         return gid
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple:
+    """Read-only (nodes, weights) of the n-node Gauss-Legendre rule on [-1, 1], made once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def phase_circle(n_phi: int) -> np.ndarray:

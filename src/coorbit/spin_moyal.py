@@ -2,7 +2,8 @@
 
 For a spin-s system the index set is the unit sphere. The direct kernel
 Delta_n is the spin-coherent projector along n; the dual kernel Delta^n is
-diagonal in the rotated basis with coefficients built from Wigner 3j ratios.
+diagonal in the rotated basis, with the signed binomial coefficients
+(-1)^(s-m) C(2s+1, s-m+1) of :func:`dual_coefficients`.
 Pairing a state against the dual kernel gives its spherical symbol, and the
 weighted sum of symbols against the direct kernel reconstructs the state
 exactly on a product Gauss-Legendre x uniform grid (the integrand is
@@ -16,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, analyze
-from .frame_core import slice_major_grid
+from .frame_core import gauss_legendre, slice_major_grid
 from .opalg import DensityMatrix, Operator
 
 
@@ -71,63 +71,9 @@ def sphere_grid(p: SpinParams, n_theta: int | None = None, n_phi: int | None = N
     n_phi = n_phi if n_phi is not None else 2 * p.two_s + 2
     if n_theta < 1 or n_phi < 1:
         raise ValueError(f"sphere grid needs n_theta, n_phi >= 1, got {n_theta}, {n_phi}")
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x, w = gauss_legendre(n_theta)
     theta = np.arccos(x[::-1])
     return SphereGrid(theta, w[::-1].copy(), n_phi)
-
-
-def _fac(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative factorial in 3j evaluation")
-    return math.factorial(n)
-
-
-def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
-    """Wigner 3j symbol by the Racah single-sum closed form."""
-    two = []
-    for v in (j1, j2, j3, m1, m2, m3):
-        t = round(2 * v)
-        if abs(2 * v - t) > 1e-9:
-            raise ValueError("3j arguments must be integers or half-integers")
-        two.append(t)
-    tj1, tj2, tj3, tm1, tm2, tm3 = two
-    if tm1 + tm2 + tm3 != 0:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm3) > tj3:
-        return 0.0
-    if tj3 > tj1 + tj2 or tj3 < abs(tj1 - tj2):
-        return 0.0
-    if (tj1 + tj2 + tj3) % 2 != 0:
-        return 0.0
-
-    def f2(x):  # factorial of a doubled integer that must be even
-        if x % 2 != 0:
-            raise ValueError("non-integer factorial argument in 3j")
-        return _fac(x // 2)
-
-    delta = math.sqrt(
-        f2(tj1 + tj2 - tj3) * f2(tj1 - tj2 + tj3) * f2(-tj1 + tj2 + tj3)
-        / f2(tj1 + tj2 + tj3 + 2)
-    )
-    pref = math.sqrt(
-        f2(tj1 + tm1) * f2(tj1 - tm1) * f2(tj2 + tm2) * f2(tj2 - tm2)
-        * f2(tj3 + tm3) * f2(tj3 - tm3)
-    )
-    kmin = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
-    kmax = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        term = (
-            _fac(k)
-            * f2(tj1 + tj2 - tj3 - 2 * k)
-            * f2(tj1 - tm1 - 2 * k)
-            * f2(tj2 + tm2 - 2 * k)
-            * f2(tj3 - tj2 + tm1 + 2 * k)
-            * f2(tj3 - tj1 - tm2 + 2 * k)
-        )
-        total += (-1) ** k / term
-    phase = (-1) ** ((tj1 - tj2 - tm3) // 2)
-    return phase * delta * pref * total
 
 
 def _angular_momentum(p: SpinParams):
@@ -170,22 +116,22 @@ def kernel_direct(p: SpinParams, theta: float, phi: float) -> Operator:
     return Operator(np.outer(top, top.conj()))
 
 
-@lru_cache(maxsize=None)
 def dual_coefficients(two_s: int) -> tuple:
     """Diagonal coefficients of the dual kernel, ordered m = s..-s.
 
-    Delta^m = sum_l (2l+1)/(2s+1) (-1)^(s-m) 3j(s,l,s; m,0,-m) / 3j(s,l,s; s,0,-s).
+    Delta^m = sum_l (2l+1)/n <s m; l 0|s m> / <s s; l 0|s s> with n = 2s + 1
+    (Varilly & Gracia-Bondia, Ann. Phys. 190, 107 (1989)). The Clebsch-Gordan
+    ratio is t_l(x) / t_l(0) at x = s - m, where t_l is the discrete Chebyshev
+    polynomial on {0..n-1} (Nikiforov, Suslov & Uvarov, Classical Orthogonal
+    Polynomials of a Discrete Variable, 1991). The sum is the integer
+    (-1)^x C(n, x + 1). Summed against t_k over x = 0..n-1, the sum gives
+    (2k+1)/n |t_k|^2 / t_k(0) by orthogonality, and the signed binomials give
+    t_k(-1), since n-th differences of a lower-degree polynomial vanish. Both
+    equal (-1)^k (n+k)! / n!, and t_0..t_{n-1} span the functions on
+    {0..n-1}. Each coefficient is that integer rounded once.
     """
-    s = two_s / 2
-    coeffs = []
-    for i in range(two_s + 1):
-        m = s - i
-        total = 0.0
-        for l in range(two_s + 1):
-            ratio = wigner_3j(s, l, s, m, 0, -m) / wigner_3j(s, l, s, s, 0, -s)
-            total += (2 * l + 1) / (two_s + 1) * (-1) ** round(s - m) * ratio
-        coeffs.append(total)
-    return tuple(coeffs)
+    n = two_s + 1
+    return tuple(float((-1) ** x * math.comb(n, x + 1)) for x in range(n))
 
 
 def kernel_dual(p: SpinParams, theta: float, phi: float) -> Operator:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame_core import IndexGrid, SliceFamily, TomographicSystem, roundtrip
-from .frame_core import singular_admissibility, slice_major_grid
+from .frame_core import gauss_legendre, singular_admissibility, slice_major_grid
 from .opalg import DensityMatrix, Operator
 
 INTERIOR_MARGIN = 2  # top levels excluded from algebra assertions
@@ -151,7 +151,7 @@ class SUGrid:
             raise ValueError("need theta_max > 0 and positive node counts")
 
     def to_index_grid(self) -> IndexGrid:
-        tn, tw = np.polynomial.legendre.leggauss(self.n_theta)
+        tn, tw = gauss_legendre(self.n_theta)
         theta = (tn + 1) * self.theta_max / 2
         weights = tw * self.theta_max / 2 * np.tanh(theta) * (2 * math.pi / self.n_phi)
         return slice_major_grid(theta, weights / (4 * math.pi), self.n_phi)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cv_tomo import FockSpace, PolarGrid, displacement_cv, homodyne_system, wigner_points
-from .frame_core import RegularizerSpec, SampleVector, synthesize
+from .frame_core import RegularizerSpec, SampleVector, gauss_legendre, synthesize
 from .opalg import DensityMatrix, Operator, closest_density, fidelity
 
 
@@ -65,7 +65,7 @@ class MarginalGrid:
 
     @property
     def X_quadrature(self):
-        x, w = np.polynomial.legendre.leggauss(self.n_X)
+        x, w = gauss_legendre(self.n_X)
         return x * self.X_max, w * self.X_max
 
 
@@ -119,8 +119,11 @@ def _characteristic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace):
     = phi + pi/2. In the scaled variable X = s y,
     chi = sum_k e^{-i gamma k} sum_y w_y e^{i s y} D_k(y), one product per radial node.
     """
-    polar = PolarGrid(grid.L / math.sqrt(2), grid.n_mn, 2 * f.d)
-    sys, (y, yw), d = homodyne_system(f, polar), grid.X_quadrature, rho.dim
+    d = rho.dim
+    if f.d != d:
+        raise ValueError(f"state dimension {d} does not match the Fock truncation {f.d}")
+    polar = PolarGrid(grid.L / math.sqrt(2), grid.n_mn, 2 * d)
+    sys, (y, yw) = homodyne_system(f, polar), grid.X_quadrature
     s = math.sqrt(2) * polar.radial[0]
     # einsum, not BLAS: OpenBLAS threads these thin products
     e_isy = yw[:, None] * np.exp(1j * np.multiply.outer(y, s))
@@ -173,7 +176,7 @@ def marginal_wigner_consistency(
         X_nodes = np.linspace(-3, 3, 13)
     x = np.asarray(X_nodes, dtype=float)
     s = math.hypot(mu, nu)
-    tn, tw = np.polynomial.legendre.leggauss(n_t)
+    tn, tw = gauss_legendre(n_t)
     t, tw = tn * 5.0, tw * 5.0
     # (x / s) e + t e_perp for every X node x and every t, with e = (mu, nu) / s
     e, e_perp = np.array([mu, nu]) / s, np.array([-nu, mu]) / s

@@ -19,10 +19,13 @@ every call. Of ``opalg`` it keeps the fidelity through rho's own square
 root and the PSD test of ``DensityMatrix`` by its full spectrum. Of the
 grids and the CLI it keeps the slice-major grid built node by node as
 tuples of Python floats, and the ``emit`` CSV rows formatted one value at a
-time.
+time. Of ``spin_moyal`` it keeps the dual coefficients as the defining sum
+over l, by the three-term recurrence of the discrete Chebyshev polynomials
+in exact rationals.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -317,3 +320,21 @@ def emit_rows(doc, kind):
     ig = grid.to_index_grid(p)
     return [f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
             for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)]
+
+
+def dual_coefficients(two_s):
+    """sum_l (2l+1)/n t_l(x) / t_l(0) at x = 0..n-1, n = 2s + 1, as exact Fractions.
+
+    t_0 = 1, t_1 = 2x - n + 1 and
+    (l+1) t_{l+1} = (2l+1)(2x - n + 1) t_l - l(n^2 - l^2) t_{l-1}; the t_l are
+    integers, so the division is exact.
+    """
+    n = two_s + 1
+    u = [2 * x - n + 1 for x in range(n)]
+    prev, t = [1] * n, u
+    sums = [Fraction(1)] * n
+    for l in range(1, n):
+        sums = [c + Fraction((2 * l + 1) * tx, t[0]) for c, tx in zip(sums, t)]
+        t, prev = [((2 * l + 1) * ux * tx - l * (n * n - l * l) * px) // (l + 1)
+                   for ux, tx, px in zip(u, t, prev)], t
+    return [c / n for c in sums]

@@ -6,7 +6,7 @@ import pytest
 
 import loop_reference
 from coorbit import cv_tomo
-from coorbit.frame_core import frame_bounds, roundtrip, singular_admissibility
+from coorbit.frame_core import frame_bounds, gauss_legendre, roundtrip, singular_admissibility
 from coorbit.cv_tomo import (
     FockSpace,
     OrderingKind,
@@ -237,7 +237,9 @@ class TestHomodyneSystem:
         )
 
     def test_radial_rule_computed_once_per_grid(self, monkeypatch):
-        # homodyne_system reads the radial nodes directly and through to_index_grid
+        # homodyne_system reads the radial nodes directly and through to_index_grid;
+        # the rule is cached per node count, so an earlier test may already hold n = 16
+        gauss_legendre.cache_clear()
         calls = []
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 import loop_reference
 from coorbit import discrete_ps
 from coorbit.discrete_ps import (
-    FiniteLattice,
     discrete_wigner,
     displacement_discrete,
     heisenberg_finite_system,
@@ -119,14 +119,15 @@ class TestPointOperator:
 
     def test_hermitian(self):
         for n in (2, 3):
-            for q, p in FiniteLattice(n).fine_points:
+            for q, p in itertools.product(range(2 * n), repeat=2):
                 a = point_operator(n, q, p).entries
                 assert np.abs(a - a.conj().T).max() < 1e-14
 
     def test_fine_lattice_sums_to_identity(self):
         for n in (2, 3):
             acc = sum(
-                point_operator(n, q, p).entries for q, p in FiniteLattice(n).fine_points
+                point_operator(n, q, p).entries
+                for q, p in itertools.product(range(2 * n), repeat=2)
             )
             assert np.abs(acc - np.eye(n)).max() < 1e-12
 
@@ -220,13 +221,6 @@ class TestSystem:
         sys = heisenberg_finite_system(3)
         assert len(sys.grid.nodes) == 9
         assert np.allclose(sys.grid.weights, 1 / 3)
-
-    def test_lattice_point_sets(self):
-        lat = FiniteLattice(2)
-        assert len(lat.coarse_points) == 4
-        assert len(lat.fine_points) == 16
-        with pytest.raises(ValueError):
-            FiniteLattice(0)
 
     def test_slices_equal_displacement_discrete(self):
         # Exact equality: every nonzero component is the same double. A zero

@@ -127,6 +127,15 @@ class TestIndexGrid:
         assert (table[grid], table[twin], table[sys]) == (1, 2, 3)
 
 
+def test_gauss_legendre_is_one_shared_read_only_rule():
+    x, w = frame_core.gauss_legendre(7)
+    again = frame_core.gauss_legendre(7)
+    assert again[0] is x and again[1] is w
+    want_x, want_w = np.polynomial.legendre.leggauss(7)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
 class TestAnalyzeSynthesize:
     def test_analyze_identity_on_lattice(self):
         # Tr U(q,p)^dag vanishes except at the origin node

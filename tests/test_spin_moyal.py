@@ -18,7 +18,6 @@ from coorbit.spin_moyal import (
     sphere_grid,
     spin_symbols,
     tracial_overlap,
-    wigner_3j,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,43 +29,37 @@ def random_state(rng, d):
     return Operator(rho / np.trace(rho).real)
 
 
-class TestWigner3j:
-    def test_half_integer_value(self):
-        # zero in the middle slot: column permutation gives the extra sign
-        assert wigner_3j(0.5, 0, 0.5, 0.5, 0, -0.5) == pytest.approx(-1 / math.sqrt(2))
+class TestDualCoefficients:
+    @pytest.mark.parametrize("two_s", range(11))
+    def test_equal_sympy_3j_ratio_sum(self, two_s):
+        # the defining sum of exact 3j ratios, rounded once: equal bit for bit
+        wigner = pytest.importorskip("sympy.physics.wigner")
+        from sympy import Rational
 
-    def test_integer_value(self):
-        assert wigner_3j(1, 1, 0, 0, 0, 0) == pytest.approx(-1 / math.sqrt(3))
+        s = Rational(two_s, 2)
+        want = []
+        for i in range(two_s + 1):
+            m = s - i
+            total = sum(
+                Rational(2 * l + 1, two_s + 1) * (-1) ** i
+                * wigner.wigner_3j(s, l, s, m, 0, -m) / wigner.wigner_3j(s, l, s, s, 0, -s)
+                for l in range(two_s + 1)
+            )
+            want.append(float(total))
+        assert dual_coefficients(two_s) == tuple(want)
 
-    def test_m_sum_selection_rule(self):
-        assert wigner_3j(1, 1, 1, 1, 1, 1) == 0
+    def test_equal_exact_recurrence_sum(self):
+        # the same sum by the discrete Chebyshev recurrence, rounded once
+        for two_s in range(65):
+            want = tuple(float(c) for c in loop_reference.dual_coefficients(two_s))
+            assert dual_coefficients(two_s) == want
 
-    def test_triangle_rule(self):
-        assert wigner_3j(1, 1, 3, 0, 0, 0) == 0
-
-    def test_rejects_non_half_integers(self):
-        with pytest.raises(ValueError):
-            wigner_3j(0.4, 0, 0.4, 0.4, 0, -0.4)
-
-    def test_against_sympy(self):
-        sympy_wigner = pytest.importorskip("sympy.physics.wigner")
-        from sympy import S
-
-        rng = np.random.default_rng(0)
-        checked = 0
-        while checked < 60:
-            tj = rng.integers(0, 7, size=3)
-            tm = [int(rng.choice(np.arange(-t, t + 1, 2))) if t else 0 for t in tj]
-            args = [t / 2 for t in tj] + [m / 2 for m in tm]
-            try:
-                ref = float(
-                    sympy_wigner.wigner_3j(*[S(int(t)) / 2 for t in tj],
-                                           *[S(int(m)) / 2 for m in tm])
-                )
-            except ValueError:
-                continue
-            assert wigner_3j(*args) == pytest.approx(ref, abs=1e-12)
-            checked += 1
+    @pytest.mark.parametrize("two_s", [58, 64])
+    def test_large_spin_is_finite(self, two_s):
+        # a floating-point factorial evaluation overflows from 2s = 58 on
+        coeffs = dual_coefficients(two_s)
+        assert len(coeffs) == two_s + 1
+        assert all(isinstance(c, float) and math.isfinite(c) for c in coeffs)
 
 
 class TestRotationOperator:

@@ -244,6 +244,16 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             MarginalGrid(5.0, 1, 5.0, 10, RegularizerSpec(1.0))
 
+    @pytest.mark.parametrize("fock_d", [4, 8])
+    def test_fock_truncation_must_match_state(self, fock_d):
+        # the reconstruction lives in f's Fock space: a smaller one would alias the state
+        rho, f = random_density(6, 1), FockSpace(fock_d)
+        grid = MarginalGrid(6.5, 81, 8.0, 30, RegularizerSpec(4.0))
+        with pytest.raises(ValueError, match=f"dimension 6 .* truncation {fock_d}"):
+            reconstruct_symplectic(rho, grid, f)
+        with pytest.raises(ValueError, match=f"dimension 6 .* truncation {fock_d}"):
+            delta_ladder(rho, f, (2.0, 4.0), n_mn=30)
+
 
 class TestWignerConsistency:
     def test_vacuum(self):
