@@ -17,14 +17,21 @@ Exit codes: 0 success, 1 usage or config error, 2 tolerance failure.
 All floating-point output is printed with 17 significant digits, and node
 orders and reduction orders are fixed, so identical configs yield
 byte-identical outputs.
+
+The argument parser is built once per process, and ``--out`` is rewritten in
+place, not truncated to zero first, so repeated in-process calls of
+:func:`main` pay only for their own configs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
+import os
+import stat
 import sys as _sys
 
 import numpy as np
@@ -221,10 +228,20 @@ def _polar_grid(params: dict) -> cv_tomo.PolarGrid:
     return cv_tomo.PolarGrid(params["R"], params["n_r"], params["n_phi"])
 
 
+def _keep_contents(path: str, flags: int) -> int:
+    """Open as the "wb" mode does, but without truncating the file on open."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(out_path: str, text: str) -> int:
+    """Write text and a newline over the start of --out; cut a regular file to that length."""
+    data = (text + "\n").encode()
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        with open(out_path, "wb", opener=_keep_contents) as fh:
+            fh.write(data)
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), len(data))
     except OSError as exc:
         raise ConfigError(f"cannot write --out: {exc}") from exc
     return 0
@@ -339,7 +356,9 @@ def _emit_columns(doc: dict, kind: str, params: dict):
     return "theta,phi,weight,symbol_re,symbol_im", ",".join(["%.17g"] * 5), columns
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="coorbit", description="round-trip tomography experiments"
     )
@@ -350,8 +369,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--tolerance", type=float, help="override the hs_error tolerance")
     parser.add_argument("--kind", choices=tuple(EMIT_SYSTEMS), help="distribution kind for emit")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -411,15 +411,17 @@ def frame_bounds(
     """Frame bounds of the analysis/synthesis pair.
 
     For d = 2, A and B are the square roots of the extreme eigenvalues of
-    (S + S^dag) / 2, S = sum_k w_k vec(G_k) vec(F_k)^dag, taken one frame
-    operator block at a time over its occupied leading square. For d != 2 the
-    bounds are sampled empirically over random unit-norm operators
-    (estimates, not certificates).
+    (S + S^dag) / 2, S = sum_k w_k vec(G_k) vec(F_k)^dag, taken over each
+    frame operator block's occupied leading square, one stacked eigensolve
+    per distinct square size. For d != 2 the bounds are sampled empirically
+    over random unit-norm operators (estimates, not certificates).
     """
     if d == 2:
-        frame, n = sys._frame, sys.dim**2
-        squares = (b[:k, :k] for b, k in zip(frame.blocks, np.count_nonzero(frame.index < n, 1)))
-        evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().T) / 2) for b in squares])
+        frame = sys._frame
+        sizes = np.count_nonzero(frame.index < sys.dim**2, 1)
+        squares = (frame.blocks[sizes == k, :k, :k] for k in np.unique(sizes))
+        evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).ravel()
+                                for b in squares])
         lo, hi = float(evals.min()), float(evals.max())
     else:
         dim, rng, ratios = sys.dim, np.random.default_rng(seed), []

@@ -162,17 +162,18 @@ def moyal_system(
         )
     # Rotating about z by phi conjugates both kernels by diag(e^{-i phi m}).
     charges = np.arange(p.dim) - p.s  # -m in the m = s..-s ordering
-    # the phi = 0 rotations of kernel_dual and kernel_direct, one eigh for all theta
-    u = _rotations(p, grid.theta_nodes)
+    # the phi = 0 rotations of kernel_dual and kernel_direct, one eigh for all theta;
+    # the last, at theta = 0, gives the vacuum and the test functional
+    u = _rotations(p, np.append(grid.theta_nodes, 0.0))
     dual = (u * np.array(dual_coefficients(p.two_s))) @ u.conj().transpose(0, 2, 1)
     top = u[:, :, 0]
     direct = top[:, :, None] * top.conj()[:, None, :]
     return TomographicSystem(
         grid=grid.to_index_grid(p),
-        analysis_family=SliceFamily(dual, charges),
-        synthesis_family=SliceFamily(direct, charges),
-        vacuum=kernel_direct(p, 0.0, 0.0),
-        test_functional=kernel_dual(p, 0.0, 0.0),
+        analysis_family=SliceFamily(dual[:-1], charges),
+        synthesis_family=SliceFamily(direct[:-1], charges),
+        vacuum=Operator(direct[-1]),
+        test_functional=Operator(dual[-1]),
     )
 
 

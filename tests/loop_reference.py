@@ -15,7 +15,8 @@ that the package replaced with numpy: the Laguerre displacement from
 ``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
 engine's sampling and resummation as they were before each system cached
 its charge-difference layout: grouped, conjugated and exponentiated anew on
-every call. Of ``opalg`` it keeps the fidelity through rho's own square
+every call, and the frame bounds with one eigensolve call per frame operator
+block. Of ``opalg`` it keeps the fidelity through rho's own square
 root and the PSD test of ``DensityMatrix`` by its full spectrum. Of the
 grids and the CLI it keeps the slice-major grid built node by node as
 tuples of Python floats, and the ``emit`` CSV rows formatted one value at a
@@ -271,6 +272,15 @@ def mixed_gram(sys):
     key_g, key_f = (np.subtract.outer(fam.charges, fam.charges).ravel() % n_phi for fam in (g, f))
     gram[key_g[:, None] != key_f[None, :]] = 0
     return (gram + gram.conj().T) / 2
+
+
+def frame_bounds(sys):
+    """A and B of ``frame_core.frame_bounds`` (d = 2), one eigvalsh per frame operator block."""
+    frame = sys._frame
+    sizes = np.count_nonzero(frame.index < sys.dim**2, 1)
+    squares = (b[:k, :k] for b, k in zip(frame.blocks, sizes))
+    evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().T) / 2) for b in squares])
+    return math.sqrt(max(float(evals.min()), 0.0)), math.sqrt(max(float(evals.max()), 0.0))
 
 
 def fidelity(rho, sigma):

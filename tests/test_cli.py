@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import coorbit
 import loop_reference
+from coorbit import cli
 from coorbit.cli import build_state, load_config, main
 
 
@@ -380,6 +381,47 @@ def run_main(path, command, kind, out):
         warnings.simplefilter("error")
         rc = main(argv)
     return rc, err.getvalue().splitlines()
+
+
+class TestRepeatedCalls:
+    def test_parser_built_once(self, tmp_path):
+        cli._parser.cache_clear()
+        path = dps_config(tmp_path)
+        for out in ("a", "b", "c"):
+            assert main(["tomo-run", "--config", path, "--out", str(tmp_path / out)]) == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_usage_error_then_help_then_run(self, tmp_path, capsys):
+        # the cached parser keeps no state from one call to the next
+        path, out = dps_config(tmp_path), tmp_path / "o"
+        assert main(["tomo-run", "--config", path, "--out", str(out), "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "usage: coorbit" in capsys.readouterr().out
+        assert main(["tomo-run", "--config", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["system"] == "dps"
+
+    def test_short_report_over_longer_out(self, tmp_path):
+        # --out is rewritten in place and cut to the new length
+        out, fresh = tmp_path / "o.json", tmp_path / "fresh.json"
+        long_cfg = write_config(tmp_path, {"system": "dps", "params": {"N": 8}}, "long.json")
+        short_cfg = dps_config(tmp_path, frame_bounds=False)
+        assert main(["tomo-run", "--config", long_cfg, "--out", str(out)]) == 0
+        longer = out.stat().st_size
+        assert main(["tomo-run", "--config", short_cfg, "--out", str(out)]) == 0
+        assert main(["tomo-run", "--config", short_cfg, "--out", str(fresh)]) == 0
+        assert out.stat().st_size < longer
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_out_null_device(self, tmp_path):
+        assert main(["tomo-run", "--config", dps_config(tmp_path), "--out", os.devnull]) == 0
+
+    def test_out_directory_exit_1(self, tmp_path, capsys):
+        assert main(["tomo-run", "--config", dps_config(tmp_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: cannot write --out:")
 
 
 # every tomo-run system (frame bounds on) and every emit kind, at small sizes

@@ -24,6 +24,7 @@ from coorbit.frame_core import (
 from coorbit.opalg import Operator, hs_inner
 from coorbit.spin_moyal import SpinParams, kernel_direct, moyal_system, sphere_grid
 from coorbit.su11_tomo import DiscreteSeriesRep, SUGrid, su11_system
+from test_engine_oracle import GATE_SYSTEMS
 
 
 def random_state(rng, d):
@@ -320,6 +321,13 @@ class TestCoorbitNorm:
             coorbit_norm(SampleVector(np.array([1.0 + 0j]), grid.grid_id), grid, 0.5)
 
 
+# su11 systems whose charge classes pack into blocks of three or more sizes
+SEVERAL_BLOCK_SIZES = {
+    "su11-6": lambda: su11_system(DiscreteSeriesRep(1.0, 6), SUGrid(4.0, 20, 8)),
+    "su11-10": lambda: su11_system(DiscreteSeriesRep(1.0, 10), SUGrid(6.0, 80, 16)),
+}
+
+
 class TestFrameBounds:
     def test_lattice_parseval_bounds(self):
         for n in (2, 3, 4):
@@ -366,6 +374,20 @@ class TestFrameBounds:
         flipped = sys.synthesis_family._replace(charges=-np.arange(8))
         with pytest.raises(ValueError, match="same charge differences"):
             dataclasses.replace(sys, synthesis_family=flipped)
+
+    @pytest.mark.parametrize("name", [*sorted(GATE_SYSTEMS), *sorted(SEVERAL_BLOCK_SIZES)])
+    def test_grouped_eigensolves_equal_per_block_loop(self, name):
+        # the blocks of one size go to eigvalsh stacked, each through the LAPACK
+        # call the per-block loop makes, so A and B keep their bits
+        sys = {**GATE_SYSTEMS, **SEVERAL_BLOCK_SIZES}[name]()
+        report = frame_bounds(sys)
+        assert (report.A, report.B) == loop_reference.frame_bounds(sys)
+
+    @pytest.mark.parametrize("name", sorted(SEVERAL_BLOCK_SIZES))
+    def test_su11_blocks_come_in_several_sizes(self, name):
+        sys = SEVERAL_BLOCK_SIZES[name]()
+        sizes = np.count_nonzero(sys._frame.index < sys.dim**2, 1)
+        assert len(np.unique(sizes)) >= 3
 
     def test_empirical_bounds_for_other_exponents(self):
         report = frame_bounds(heisenberg_finite_system(2), d=4, sample_count=32)
