@@ -30,7 +30,8 @@ first-fit, largest first, down the diagonals of equal m x m blocks, each built
 from the phase-0 slices with factor n_phi w_s. The round trip is a gather, one
 batched block product and a scatter; admissibility is <l0p, S b0p>; frame
 bounds are the spectrum of (S + S^dag) / 2 on each block's occupied leading
-square. Slice-sized contractions stay off BLAS. Instantiations supply grids,
+square. Slice-sized contractions stay off BLAS, except the frame block
+product: one batched ``matmul``. Instantiations supply grids,
 slices, charges; only the two-mode builder expands a family to one matrix per
 node (:func:`expand_family`).
 """
@@ -314,7 +315,7 @@ def _apply_frame(sys: TomographicSystem, o: Operator) -> np.ndarray:
         raise ValueError(f"dimension mismatch: operator {o.dim}, system {sys.dim}")
     frame, n = sys._frame, sys.dim**2
     out = np.empty(n + 1, dtype=complex)
-    out[frame.index] = np.einsum("kij,kj->ki", frame.blocks, np.append(o.entries, 0)[frame.index])
+    out[frame.index] = np.matmul(frame.blocks, np.append(o.entries, 0)[frame.index, None])[..., 0]
     return out[:n].reshape(sys.dim, sys.dim)
 
 

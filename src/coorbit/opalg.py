@@ -5,17 +5,17 @@ dimension: states, kernels, displacement families. This module provides the
 carrier types (:class:`Operator`, :class:`DensityMatrix`) and the handful of
 linear-algebra primitives the reconstruction engines need — the
 Hilbert-Schmidt pairing, tensor products, Hermitian eigendecomposition,
-matrix exponentials and state fidelity. Fidelity takes only sigma's square
-root (Uhlmann fidelity is symmetric), cached on the :class:`DensityMatrix` and
-seeded by :func:`closest_density` from its own eigendecomposition; the PSD
-check is a Cholesky test of rho + PSD_TOL I, with eigenvalues only on failure.
+matrix exponentials and state fidelity. Fidelity runs in the range of one
+state's clipped spectrum, cached on the :class:`DensityMatrix` and seeded by
+:func:`closest_density`, whose PSD check reads it; any other state's PSD check
+is a Cholesky test of rho + PSD_TOL I, with eigenvalues only on failure.
 
 All functions are pure; operators are immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -85,8 +85,9 @@ class DensityMatrix:
     """
 
     op: Operator
+    _seed: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _seed):
         m = self.op.entries
         herm_gap = np.abs(m - m.conj().T).max()
         if herm_gap > HERMITICITY_TOL:
@@ -95,21 +96,32 @@ class DensityMatrix:
         tr = np.trace(sym).real
         if abs(tr - 1) > 1e-12:
             raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
-        try:
-            np.linalg.cholesky(sym + PSD_TOL * np.eye(len(sym)))
-        except np.linalg.LinAlgError:
-            if (lowest := np.linalg.eigvalsh(sym)[0]) < -PSD_TOL:
-                raise ValueError(f"not positive semidefinite: min eigenvalue {lowest:.3e}")
+        if _seed is not None:
+            vars(self)["_spectrum"], lowest = _seed, _seed[0].min()
+        else:
+            try:
+                np.linalg.cholesky(sym + PSD_TOL * np.eye(len(sym)))
+                lowest = 0.0
+            except np.linalg.LinAlgError:
+                lowest = np.linalg.eigvalsh(sym)[0]
+        if lowest < -PSD_TOL:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {lowest:.3e}")
         object.__setattr__(self, "op", Operator(sym))
+
+    @classmethod
+    def _from_spectrum(cls, p: np.ndarray, v: np.ndarray) -> "DensityMatrix":
+        """The state V diag(p) V^dag with its spectrum (p, V) seeded, for p >= 0 summing to 1."""
+        return cls(Operator((v * p) @ v.conj().T), (p, v))
 
     @property
     def dim(self) -> int:
         return self.op.dim
 
     @cached_property
-    def _sqrt(self) -> np.ndarray:
+    def _spectrum(self) -> tuple:
+        """(eigenvalues clipped to >= 0, eigenvectors) of the state."""
         w, v = eig_hermitian(self.op)
-        return (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+        return np.clip(w, 0, None), v
 
 
 def hs_inner(a: Operator, b: Operator) -> complex:
@@ -147,10 +159,20 @@ def eig_hermitian(a: Operator):
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, symmetric in rho and sigma."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2, symmetric in rho and sigma.
+
+    In sigma's range: the spectrum of X^dag rho X, X = V_r diag(sqrt(p_r)) over
+    sigma's r nonzero eigenvalues. A state already holding its spectrum (sigma
+    first) plays sigma.
+    """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    inner = sigma._sqrt @ rho.op.entries @ sigma._sqrt
+    if "_spectrum" in vars(rho) and "_spectrum" not in vars(sigma):
+        rho, sigma = sigma, rho
+    p, v = sigma._spectrum
+    keep = p > 0
+    x = v[:, keep] * np.sqrt(p[keep])
+    inner = x.conj().T @ rho.op.entries @ x
     evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     # drop rounding (matrix_rank's cut): its roots would lift a pure rho's score by ~1e-7
     evals = evals[evals > rho.dim * np.finfo(float).eps * evals[-1]]
@@ -172,7 +194,5 @@ def closest_density(a: Operator) -> DensityMatrix:
     total = w.sum()
     if total <= 0:
         raise ValueError("operator has no positive spectral weight")
-    rho = DensityMatrix(Operator((v * (w / total)) @ v.conj().T))
-    vars(rho)["_sqrt"] = (v * np.sqrt(w / total)) @ v.conj().T
-    return rho
+    return DensityMatrix._from_spectrum(w / total, v)
 

@@ -15,9 +15,10 @@ that the package replaced with numpy: the Laguerre displacement from
 ``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
 engine's sampling and resummation as they were before each system cached
 its charge-difference layout: grouped, conjugated and exponentiated anew on
-every call, and the frame bounds with one eigensolve call per frame operator
-block. Of ``opalg`` it keeps the fidelity through rho's own square
-root and the PSD test of ``DensityMatrix`` by its full spectrum. Of the
+every call, the frame bounds with one eigensolve call per frame operator
+block, and the frame block product as a BLAS-free ``einsum``. Of ``opalg`` it
+keeps the fidelity through the d x d square root of either state and the PSD
+test of ``DensityMatrix`` by its full spectrum. Of the
 grids and the CLI it keeps the slice-major grid built node by node as
 tuples of Python floats, and the ``emit`` CSV rows formatted one value at a
 time. Of ``spin_moyal`` it keeps the dual coefficients as the defining sum
@@ -283,12 +284,34 @@ def frame_bounds(sys):
     return math.sqrt(max(float(evals.min()), 0.0)), math.sqrt(max(float(evals.max()), 0.0))
 
 
+def apply_frame(sys, o):
+    """S vec(o) with the batched block product as an ``einsum``, off BLAS."""
+    frame, n = sys._frame, sys.dim**2
+    out = np.empty(n + 1, dtype=complex)
+    out[frame.index] = np.einsum("kij,kj->ki", frame.blocks, np.append(o.entries, 0)[frame.index])
+    return out[:n].reshape(sys.dim, sys.dim)
+
+
+def _sqrt_state(rho):
+    w, v = eig_hermitian(rho.op)
+    return (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+
+
 def fidelity(rho, sigma):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 through rho's eigendecomposition."""
-    w, v = eig_hermitian(rho.op)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    sqrt_rho = _sqrt_state(rho)
     inner = sqrt_rho @ sigma.op.entries @ sqrt_rho
     evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    f = np.sqrt(np.clip(evals, 0, None)).sum() ** 2
+    return float(min(max(f, 0.0), 1.0))
+
+
+def fidelity_sqrt_sigma(rho, sigma):
+    """Uhlmann fidelity through sigma's d x d square root, with the rank cut of ``opalg``."""
+    sqrt_sigma = _sqrt_state(sigma)
+    inner = sqrt_sigma @ rho.op.entries @ sqrt_sigma
+    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    evals = evals[evals > rho.dim * np.finfo(float).eps * evals[-1]]
     f = np.sqrt(np.clip(evals, 0, None)).sum() ** 2
     return float(min(max(f, 0.0), 1.0))
 

@@ -9,7 +9,7 @@ of ``loop_reference`` on both families of every case, and the cached frame
 operator behind ``roundtrip``, ``admissibility_constant`` and
 ``frame_bounds`` against the sample path and the dense masked Gram kept
 there, together with the way its charge classes are keyed and packed into
-blocks.
+blocks; its batched block product is checked against the ``einsum`` kept there.
 """
 
 import dataclasses
@@ -220,6 +220,15 @@ def test_roundtrip_matches_reference(name):
     rec, err = roundtrip(sys, o)
     assert np.linalg.norm(rec.entries - want) <= TOL * np.sum(sys.grid.weights * np.abs(s) * g)
     assert err == np.linalg.norm(rec.entries - o.entries)
+
+
+@pytest.mark.parametrize("name", ["homodyne-stream", "dps-20", "spin-10", "su11-8"])
+def test_block_product_matches_einsum(name):
+    # the batched matmul of _apply_frame against the einsum it replaced, on
+    # the largest blocks the CLI runs (32 x 32) and the dual pairs
+    sys = heisenberg_finite_system(20) if name == "dps-20" else LAYOUT_CASES[name]()
+    o = _random_operator(np.random.default_rng(7), sys.dim)
+    assert _close(frame_core._apply_frame(sys, o), loop_reference.apply_frame(sys, o))
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))

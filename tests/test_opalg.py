@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import loop_reference
+from coorbit.cv_tomo import FockSpace, PolarGrid, coherent_state, homodyne_system
+from coorbit.frame_core import roundtrip
 from coorbit.opalg import (
     PSD_TOL,
     DensityMatrix,
@@ -130,6 +132,27 @@ class TestDensityMatrix:
         v = unit_vector(np.random.default_rng(13), 32)
         monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
         DensityMatrix(Operator(np.outer(v, v.conj())))
+
+    def test_only_the_repair_skips_cholesky(self, monkeypatch):
+        # the repair's PSD test reads its clipped eigenvalues; a caller-built
+        # state just below -PSD_TOL still meets the Cholesky test and fails it
+        rng = np.random.default_rng(14)
+        m = with_spectrum(rng, np.array([-1e-9, 0.3, 0.7 + 1e-9]))
+        with pytest.raises(ValueError, match=re.escape("min eigenvalue -1.000e-09")):
+            DensityMatrix(Operator(m))
+
+        def cholesky(_):
+            raise AssertionError("Cholesky test on a repaired state")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert np.linalg.eigvalsh(closest_density(Operator(m)).op.entries)[0] >= -1e-15
+        with pytest.raises(AssertionError):
+            DensityMatrix(Operator(m))
+
+    def test_seeded_spectrum_below_tolerance_rejected(self):
+        v = random_unitary(np.random.default_rng(15), 3)
+        with pytest.raises(ValueError, match=re.escape("min eigenvalue -1.000e-09")):
+            DensityMatrix._from_spectrum(np.array([-1e-9, 0.3, 0.7 + 1e-9]), v)
 
     def test_symmetrizes_tiny_asymmetry(self):
         m = np.diag([0.5, 0.5]).astype(complex)
@@ -257,7 +280,7 @@ class TestFidelity:
         for _ in range(8):
             rho = DensityMatrix(full_rank_state(rng, d))
             repaired = closest_density(full_rank_state(rng, d))
-            plain = DensityMatrix(repaired.op)  # no seeded root
+            plain = DensityMatrix(repaired.op)  # no seeded spectrum
             for sigma in (repaired, plain):
                 assert np.linalg.eigvalsh(sigma.op.entries)[0] >= 1e-6
                 assert abs(fidelity(rho, sigma) - loop_reference.fidelity(rho, sigma)) <= 1e-13
@@ -290,18 +313,64 @@ class TestFidelity:
             assert abs(fidelity(sigma, rho) - exact) <= oracle_error + 1e-12
 
     @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("rank", ["full", "clipped", "one"])
+    def test_matches_sqrt_sigma_form(self, d, rank):
+        # in sigma's range against the d x d sqrt(sigma) rho sqrt(sigma), in
+        # both argument orders, for the repair's seeded spectrum and for a
+        # spectrum computed on first use
+        rng = np.random.default_rng(400 + d)
+        r = {"full": d, "clipped": (d + 1) // 2, "one": 1}[rank]
+        for _ in range(4):
+            w = np.concatenate([-1e-3 * rng.random(d - r), rng.random(r) + 0.1])
+            repaired = closest_density(Operator(with_spectrum(rng, w)))
+            assert np.count_nonzero(repaired._spectrum[0]) == r
+            psi = unit_vector(rng, d)
+            pure = DensityMatrix(Operator(np.outer(psi, psi.conj())))
+            for rho in (DensityMatrix(full_rank_state(rng, d)), pure):
+                want = loop_reference.fidelity_sqrt_sigma(rho, repaired)
+                for sigma in (repaired, DensityMatrix(repaired.op)):
+                    assert abs(fidelity(rho, sigma) - want) <= 1e-13
+                    assert abs(fidelity(sigma, rho) - want) <= 1e-13
+
+    @pytest.mark.parametrize("d", DIMS)
     def test_seeded_root_matches_fresh_eigh(self, d):
+        # the repair's (p, V) rebuild sigma and agree with a fresh eigh: same
+        # eigenvalues, and the same state and square root from either
         rng = np.random.default_rng(300 + d)
         sigma = closest_density(full_rank_state(rng, d) * 2.5)  # renormalized by the repair
-        fresh = DensityMatrix(sigma.op)._sqrt
-        assert np.abs(sigma._sqrt - fresh).max() <= 1e-13
-        assert np.abs(fresh @ fresh - sigma.op.entries).max() <= 1e-13
+        (p, v), (fresh_p, fresh_v) = sigma._spectrum, DensityMatrix(sigma.op)._spectrum
+        assert np.abs(p - fresh_p).max() <= 1e-13
+        for u, q in ((v, p), (fresh_v, fresh_p)):
+            assert np.abs((u * q) @ u.conj().T - sigma.op.entries).max() <= 1e-13
+        root, fresh = ((u * np.sqrt(q)) @ u.conj().T for u, q in ((v, p), (fresh_v, fresh_p)))
+        assert np.abs(root - fresh).max() <= 1e-13
 
     def test_root_clips_negative_eigenvalues(self):
         rng = np.random.default_rng(12)
         m = with_spectrum(rng, np.array([-0.5e-10, 0.25, 0.75 + 0.5e-10]))
-        root = DensityMatrix(Operator(m))._sqrt
-        assert np.linalg.eigvalsh(root)[0] >= -1e-15
+        p, v = DensityMatrix(Operator(m))._spectrum
+        assert p[0] == 0 and np.all(p >= 0)
+        assert np.abs((v * p) @ v.conj().T - m).max() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def stream_system():
+    """The homodyne system of the stream benchmark workload (d 32, R 6, 48 x 64)."""
+    return homodyne_system(FockSpace(32), PolarGrid(6.0, 48, 64))
+
+
+@pytest.mark.parametrize("state", ["coherent", "fock-0", "fock-1"])
+def test_stream_reconstruction_matches_sqrt_sigma_form(stream_system, state):
+    if state == "coherent":
+        psi = coherent_state(FockSpace(32), 0.5 + 0.3j)
+    else:
+        psi = np.eye(32)[int(state[-1])]
+    rho = DensityMatrix(Operator(np.outer(psi, psi.conj())))
+    sigma = closest_density(roundtrip(stream_system, rho.op)[0])
+    assert np.count_nonzero(sigma._spectrum[0]) < 32
+    want = loop_reference.fidelity_sqrt_sigma(rho, sigma)
+    assert abs(fidelity(rho, sigma) - want) <= 1e-13
+    assert abs(fidelity(sigma, rho) - want) <= 1e-13
 
 
 class TestClosestDensity:
