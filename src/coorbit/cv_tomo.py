@@ -6,19 +6,18 @@ approximate Parseval family: sampling Tr(rho D(alpha)^dag) and resumming
 against D(alpha) with the measure d^2alpha / pi reconstructs the state up
 to radial-tail truncation error. The matrix elements of a whole stack of
 alpha come from one numpy three-term Laguerre recurrence, with
-log-factorials from one cumulative sum of logs.
-The module also provides ordering-dependent characteristic functions,
-quadrature operators, the diagonal probe operator used for admissibility in
-the singular (identity-vacuum) case, displaced-parity operators, the
-Q-function, and two-mode tensor systems.
+log-factorials from one cumulative sum of logs. The homodyne analysis
+sample at alpha is the Weyl characteristic function Tr(rho D(alpha)^dag).
+The module also provides the diagonal probe operator used for admissibility
+in the singular (identity-vacuum) case, displaced-parity operators, the
+Wigner and Q-functions, and two-mode tensor systems.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +37,6 @@ class FockSpace:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("Fock truncation must be positive")
-
-
-def lowering(d: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -68,33 +63,6 @@ class PolarGrid:
     def to_index_grid(self) -> IndexGrid:
         r, rw = self.radial
         return slice_major_grid(r, r * rw * (2 * math.pi / self.n_phi) / math.pi, self.n_phi)
-
-
-@dataclass(frozen=True)
-class OrderingKind:
-    """Operator-ordering label for characteristic functions.
-
-    One of weyl, normal, antinormal, husimi, standard, antistandard; the
-    husimi variant squeezes the mode through b = mu a + nu a^dag with
-    mu^2 - nu^2 = 1.
-    """
-
-    kind: str
-    mu: float | None = None
-    nu: float | None = None
-
-    _KINDS = ("weyl", "normal", "antinormal", "husimi", "standard", "antistandard")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown ordering {self.kind!r}")
-        if self.kind == "husimi":
-            mu = self.mu if self.mu is not None else math.cosh(0.5)
-            nu = self.nu if self.nu is not None else math.sinh(0.5)
-            if abs(mu * mu - nu * nu - 1) > 1e-12:
-                raise ValueError("husimi ordering requires mu^2 - nu^2 = 1")
-            object.__setattr__(self, "mu", mu)
-            object.__setattr__(self, "nu", nu)
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -138,34 +106,6 @@ def displacement_cv(f: FockSpace, alpha: complex) -> Operator:
     return Operator(displacements(f.d, [alpha])[0])
 
 
-def _ordered_displacement(d: int, alpha: complex, ordering: OrderingKind) -> np.ndarray:
-    """Ordering-dependent displacement: a scalar times a displacement, by BCH.
-
-    normal and antinormal are e^{+-|alpha|^2/2} D(alpha), standard and
-    antistandard e^{+-i Re(alpha) Im(alpha)} D(alpha), and husimi
-    e^{|alpha|^2/2} D(mu alpha - nu conj(alpha)), exact on the retained block.
-    """
-    a = complex(alpha)
-    half, cross = abs(a) ** 2 / 2, 1j * a.real * a.imag
-    exponent = {"weyl": 0, "normal": half, "antinormal": -half, "husimi": half,
-                "standard": cross, "antistandard": -cross}[ordering.kind]
-    if ordering.kind == "husimi":
-        a = ordering.mu * a - ordering.nu * a.conjugate()
-    return cmath.exp(exponent) * displacement_cv(FockSpace(d), a).entries
-
-
-def char_function(rho: DensityMatrix, alpha: complex, ordering: OrderingKind) -> complex:
-    """Characteristic function Tr[rho U_ordering(alpha)^dag]."""
-    u = _ordered_displacement(rho.dim, alpha, ordering)
-    return complex(np.vdot(u, rho.op.entries))
-
-
-def quadrature_operator(f: FockSpace, phi: float) -> Operator:
-    """Rotated quadrature X_phi = (a^dag e^{i phi} + a e^{-i phi}) / 2."""
-    a = lowering(f.d)
-    return Operator((a.conj().T * np.exp(1j * phi) + a * np.exp(-1j * phi)) / 2)
-
-
 def homodyne_system(f: FockSpace, grid: PolarGrid) -> TomographicSystem:
     """Displacement-family system over the polar grid (P = 1, vacuum = I).
 
@@ -200,11 +140,6 @@ def admissibility_cv(f: FockSpace, Delta: float, grid: PolarGrid) -> complex:
     return singular_admissibility(sys, probe_vector_cv(f, Delta))
 
 
-def parity_operator(d: int) -> Operator:
-    """Photon-number parity (-1)^(a^dag a)."""
-    return Operator(np.diag((-1.0) ** np.arange(d)).astype(complex))
-
-
 def displaced_parity(f: FockSpace, alpha: complex) -> Operator:
     """Complex Fourier transform of the displacement family, by quadrature.
 
@@ -212,9 +147,8 @@ def displaced_parity(f: FockSpace, alpha: complex) -> Operator:
     on a 192 x 64 polar xi grid, resummed by the engine over the homodyne
     family. Every matrix element is an independent scalar integral, so no
     padding is involved; the radial cutoff covers the Laguerre envelope peak
-    |xi|^2 ~ 2d of the highest retained level.
-    Compare with :func:`parity_fit_report` for the displaced-parity closed
-    form.
+    |xi|^2 ~ 2d of the highest retained level. At alpha = 0 it measures the
+    constant 2 of :func:`displaced_parity_closed`.
     """
     # Laguerre oscillations of level n extend to |xi|^2 ~ 4n; cover the
     # highest retained level plus a decay margin.
@@ -224,21 +158,6 @@ def displaced_parity(f: FockSpace, alpha: complex) -> Operator:
     xi = r * np.exp(1j * ph)
     kernel = np.exp(alpha * np.conj(xi) - np.conj(alpha) * xi)
     return synthesize(sys, SampleVector(kernel, sys.grid.grid_id))
-
-
-@lru_cache(maxsize=None)
-def parity_fit_report(d: int):
-    """Fit the quadrature transform at alpha = 0 against the parity operator.
-
-    Returns (constant, residual): the least-squares scalar c minimizing
-    ||U(0) - c P|| and the residual norm: a measured check of the exact
-    constant 2 that :func:`displaced_parity_closed` uses.
-    """
-    u0 = displaced_parity(FockSpace(d), 0.0).entries
-    par = parity_operator(d).entries
-    c = np.vdot(par, u0) / np.vdot(par, par)
-    residual = float(np.linalg.norm(u0 - c * par))
-    return complex(c), residual
 
 
 def displaced_parity_closed(f: FockSpace, alpha: complex) -> Operator:
@@ -304,14 +223,19 @@ def qfunction(rho: DensityMatrix, alpha: complex) -> float:
     return float(qfunctions(rho, [alpha])[0])
 
 
+def _check_modes(modes, grids):
+    if not modes or len(modes) != len(grids):
+        raise ValueError(f"need at least one mode and one grid per mode, got {len(modes)} "
+                         f"modes and {len(grids)} grids")
+
+
 def multimode_system(modes, grids) -> TomographicSystem:
     """Tensor-product displacement system over the product polar grid.
 
     Limited to two modes: the product grid has n1 * n2 nodes, stored as
     n1 * n_r2 slices of dimension (d1 d2) x (d1 d2).
     """
-    if len(modes) != len(grids):
-        raise ValueError("need one grid per mode")
+    _check_modes(modes, grids)
     if len(modes) > 2:
         raise ValueError("more than two modes is quadratically expensive; split the run")
     systems = [homodyne_system(f, g) for f, g in zip(modes, grids)]
@@ -342,6 +266,7 @@ def multimode_admissibility(modes, Delta: float, grids) -> complex:
     The product-grid quadrature separates into the per-mode sums, so the
     value is computed as the product of single-mode admissibilities.
     """
+    _check_modes(modes, grids)
     total = 1 + 0j
     for f, g in zip(modes, grids):
         total *= admissibility_cv(f, Delta, g)

@@ -5,7 +5,8 @@ U(q, p) that forms an orthogonal operator basis, so reconstruction from the
 N^2 sampled overlaps is exact. Phase-space point operators A(q, p) live on
 the doubled 2N x 2N lattice and give the discrete Wigner function; both the
 displacement route and the point-operator route rebuild the state to
-machine precision.
+machine precision. Each U(q, p) and A(q, p) moves every basis vector to one
+other, so both are built as scatters of their nonzero entries.
 """
 
 from __future__ import annotations
@@ -18,43 +19,23 @@ from .frame_core import IndexGrid, SliceFamily, TomographicSystem, roundtrip
 from .opalg import DensityMatrix, Operator
 
 
-def shift_q(N: int, m: int) -> Operator:
-    """Cyclic position shift: Q^m |n> = |n + m mod N>."""
-    if N <= 0:
-        raise ValueError("N must be positive")
-    return Operator(np.roll(np.eye(N, dtype=complex), m, axis=0))
-
-
-def shift_v(N: int, m: int) -> Operator:
-    """Clock operator: V^m |n> = e^{2 pi i m n / N} |n>."""
-    if N <= 0:
-        raise ValueError("N must be positive")
-    return Operator(np.diag(np.exp(2j * math.pi * m * np.arange(N) / N)))
-
-
-def parity(N: int) -> Operator:
-    """Finite parity R |n> = |-n mod N>."""
-    return Operator(np.eye(N, dtype=complex)[-np.arange(N) % N])
-
-
-def displacement_discrete(N: int, q: int, p: int) -> Operator:
-    """Discrete displacement U(q, p) = Q^q V^p e^{i pi p q / N}."""
-    phase = np.exp(1j * math.pi * ((p * q) % (2 * N)) / N)
-    return Operator(shift_q(N, q).entries @ shift_v(N, p).entries * phase)
-
-
 def point_operator(N: int, q: int, p: int) -> Operator:
     """Phase-space point operator A(q, p) on the 2N x 2N lattice.
 
-    The displaced-parity product A = (1/2N) Q^q R V^{-p} e^{i pi p q / N},
-    equal to the Fourier sum over displacements
+    The displaced-parity product A = (1/2N) Q^q R V^{-p} e^{i pi p q / N}
+    (shift Q^q |n> = |n + q mod N>, clock V^p |n> = e^{2 pi i p n / N} |n>,
+    parity R |n> = |-n mod N>), which maps |m> to
+    e^{-2 pi i p m / N} e^{i pi p q / N} |q - m mod N> / 2N. It equals the
+    Fourier sum over displacements
     A = (1/(2N)^2) sum_{m,k} U(m,k) e^{-2 pi i (k q - m p)/(2N)}.
     """
     if not (0 <= q <= 2 * N - 1 and 0 <= p <= 2 * N - 1):
         raise ValueError(f"lattice index ({q}, {p}) outside the 2N x 2N range")
+    m = np.arange(N)
     phase = np.exp(1j * math.pi * ((p * q) % (2 * N)) / N)
-    mat = shift_q(N, q).entries @ parity(N).entries @ shift_v(N, -p).entries
-    return Operator(mat * phase / (2 * N))
+    out = np.zeros((N, N), dtype=complex)
+    out[(q - m) % N, m] = np.exp(2j * math.pi * -p * m / N) * phase / (2 * N)
+    return Operator(out)
 
 
 def _point_values(rho: DensityMatrix, N: int, n: int):
@@ -104,12 +85,13 @@ def heisenberg_finite_system(N: int) -> TomographicSystem:
     U(q, p) holds only entries with a - b = q mod N, so the frame operator
     splits into N classes keyed by (a - b) mod N. The slices are one scatter
     U[(b + q) mod N, b] = v_p[b] e^{i pi (pq mod 2N) / N}, with the clock rows
-    v_p and the 2N phases evaluated as in :func:`displacement_discrete`.
+    v_p and the 2N phases evaluated as in the product Q^q V^p e^{i pi p q / N}
+    that the test oracle ``loop_reference.displacement_discrete`` multiplies out.
     """
     if N < 2:
         raise ValueError("need N >= 2")
     n, k = np.arange(N), np.arange(N * N)
-    # Python-int p and m give the arithmetic, so the doubles, of displacement_discrete
+    # Python-int p and m give the arithmetic, so the doubles, of the product form
     clock = np.array([np.exp(2j * math.pi * p * n / N) for p in range(N)])
     phase = np.array([np.exp(1j * math.pi * m / N) for m in range(2 * N)])
     q, p = np.divmod(k, N)

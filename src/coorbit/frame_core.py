@@ -107,7 +107,7 @@ def slice_major_grid(radial, radial_weights, n_phi: int) -> IndexGrid:
     return IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), n_phi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleVector:
     """Complex samples of a transform, aligned with a grid's node order."""
 

@@ -35,7 +35,7 @@ def _as_square_complex(entries) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A dim x dim complex matrix with its dimension as metadata."""
 
@@ -50,31 +50,16 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def norm_hs(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.entries + other.entries)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.entries - other.entries)
 
     def __mul__(self, scalar) -> "Operator":
         return Operator(self.entries * scalar)
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.entries @ other.entries)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator.
 

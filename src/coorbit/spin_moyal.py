@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, analyze
+from .frame_core import IndexGrid, SliceFamily, TomographicSystem
 from .frame_core import gauss_legendre, slice_major_grid
-from .opalg import DensityMatrix, Operator
+from .opalg import Operator
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class SpinParams:
         return self.two_s / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Product quadrature on the sphere with measure (2s+1)/(4pi) d(n).
 
@@ -175,8 +175,3 @@ def moyal_system(
         vacuum=Operator(direct[-1]),
         test_functional=Operator(dual[-1]),
     )
-
-
-def spin_symbols(p: SpinParams, rho: DensityMatrix, grid: SphereGrid) -> SampleVector:
-    """Spherical symbol Tr(rho Delta^n) sampled over the grid."""
-    return analyze(moyal_system(p, grid, allow_underresolved=True), rho.op)

@@ -66,18 +66,6 @@ def generators(rep: DiscreteSeriesRep):
     return Operator(kp), Operator(kp.T), Operator(kz)
 
 
-def casimir_scalar(rep: DiscreteSeriesRep) -> float:
-    """Interior diagonal value of Kz^2 - (K+K- + K-K+)/2.
-
-    With this ladder realization the scalar is k(k-1); the value is reported
-    for comparison against alternative conventions, never adjusted.
-    """
-    kp, km, kz = (g.entries for g in generators(rep))
-    cas = kz @ kz - (kp @ km + km @ kp) / 2
-    interior = np.diag(cas).real[: rep.cutoff - INTERIOR_MARGIN]
-    return float(interior.mean())
-
-
 def _slices(rep: DiscreteSeriesRep, theta):
     """E, B and pi at phi = 0 for every theta, as (len(theta), d, d) stacks.
 
@@ -100,38 +88,15 @@ def _slices(rep: DiscreteSeriesRep, theta):
     return e, b, np.cosh(theta) * np.diag(m + rep.k) + 0.5j * np.sinh(theta) * (kp.T - kp)
 
 
-def _at_phi(slices: np.ndarray, charges, phi: float) -> Operator:
-    """The single slice conjugated by diag(e^{i phi charges})."""
-    return Operator(np.exp(1j * phi * np.subtract.outer(charges, charges)) * slices[0])
-
-
 def group_element(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
     """E = exp(theta (e^{-i phi} K- - e^{i phi} K+)), exact at truncation.
 
     Disentangled as a lower-triangular x diagonal x upper-triangular
-    product, so every retained matrix element involves only retained levels.
+    product, so every retained matrix element involves only retained levels;
+    phi enters as the conjugation by diag(e^{i phi r}).
     """
-    return _at_phi(_slices(rep, [theta])[0], np.arange(rep.cutoff), phi)
-
-
-def analysis_B(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
-    """Analysis operator: anticommutator of the signed group element with Kz.
-
-    B = {(-1)^(Kz - k) E(theta, phi), Kz}; entrywise
-    B[m, n] = (m + n + 2k) (-1)^m E[m, n]. The parity is taken relative to
-    the lowest weight ((-1)^(Kz - k)) so the diagonal biorthogonality
-    integrals converge to +1.
-    """
-    return _at_phi(_slices(rep, [theta])[1], np.arange(rep.cutoff), phi)
-
-
-def synthesis_pi(rep: DiscreteSeriesRep, theta: float, phi: float) -> Operator:
-    """Synthesis operator: hyperbolic rotation of Kz (exact closed form).
-
-    pi = cosh(theta) Kz + (i/2) sinh(theta) (-e^{i phi} K+ + e^{-i phi} K-);
-    Hermitian by construction, reduces to Kz at theta = 0.
-    """
-    return _at_phi(_slices(rep, [theta])[2], np.arange(rep.cutoff), phi)
+    r = np.arange(rep.cutoff)
+    return Operator(np.exp(1j * phi * np.subtract.outer(r, r)) * _slices(rep, [theta])[0][0])
 
 
 @dataclass(frozen=True)
@@ -177,18 +142,13 @@ def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     )
 
 
-def biorthogonality_check(rep: DiscreteSeriesRep, grid: SUGrid, indices) -> complex:
+def _pairing(sys: TomographicSystem, indices) -> complex:
     """Quadrature of the pairing sum_x w_x <m|B^dag(x)|n> <l|pi(x)|q>.
 
-    Entry (l, q) of the engine round trip of |m><n| through the
-    :func:`su11_system` slices, at any cutoff. Converges to
+    Entry (l, q) of the engine round trip of |m><n|. It converges to
     delta_{mq} delta_{nl}-type values as theta_max grows; indices near the
     truncation boundary are unreliable (top INTERIOR_MARGIN levels).
     """
-    return _pairing(_slice_system(rep, grid), indices)
-
-
-def _pairing(sys: TomographicSystem, indices) -> complex:
     m, n, l, q = indices
     if max(indices) >= sys.dim - INTERIOR_MARGIN:
         raise ValueError("indices must sit at least two levels below the cutoff")

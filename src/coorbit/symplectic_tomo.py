@@ -32,13 +32,12 @@ Fock truncation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cv_tomo import FockSpace, PolarGrid, displacement_cv, homodyne_system, wigner_points
+from .cv_tomo import FockSpace, PolarGrid, homodyne_system, wigner_points
 from .frame_core import RegularizerSpec, SampleVector, gauss_legendre, synthesize
 from .opalg import DensityMatrix, Operator, closest_density, fidelity
 
@@ -101,15 +100,6 @@ def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> n
         raise ValueError("(mu, nu) = (0, 0) is a degenerate direction")
     phases = np.exp(-1j * math.atan2(nu, mu) * np.arange(1 - rho.dim, rho.dim))
     return (phases @ _diagonal_sums(rho, np.asarray(X_nodes, dtype=float) / s)).real / s
-
-
-def kernel_K(f: FockSpace, X: float, mu: float, nu: float) -> Operator:
-    """Kernel operator (1/2pi) e^{iX} D((nu - i mu) / sqrt 2) at one (X, mu, nu).
-
-    With [q, p] = i it equals (1/2pi) e^{iX} e^{-i mu nu / 2} e^{-i nu p} e^{-i mu q}.
-    """
-    alpha = (nu - 1j * mu) / math.sqrt(2)
-    return Operator(cmath.exp(1j * X) / (2 * math.pi) * displacement_cv(f, alpha).entries)
 
 
 def _characteristic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace):

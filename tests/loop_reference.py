@@ -7,9 +7,11 @@ evaluation, one node at a time: the symplectic double sum over a Cartesian
 square of directions with padded q and p exponentials,
 the lattice Wigner function and point reconstruction through 2N x 2N point
 operators, each point operator as a Fourier sum over displacements, the
-SU(1,1) group element through truncated power series of the ladder
+lattice displacements as products of the shift, clock and parity matrices,
+the SU(1,1) group element through truncated power series of the ladder
 operators, the ordered displacements and displaced parity of ``cv_tomo``
-as products of padded matrices cropped to d, and the marginal/Wigner
+as products of padded matrices cropped to d (and in closed form, a BCH
+scalar times ``displacement_cv``), and the marginal/Wigner
 line integrals one Wigner point at a time. It also keeps the scipy paths
 that the package replaced with numpy: the Laguerre displacement from
 ``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
@@ -26,7 +28,9 @@ over l, by the three-term recurrence of the discrete Chebyshev polynomials
 in exact rationals.
 """
 
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,15 +40,19 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from coorbit import cli, discrete_ps, frame_core, spin_moyal, symplectic_tomo
 from coorbit.cli import _fmt
-from coorbit.cv_tomo import FockSpace, displacement_cv, lowering, parity_operator, qfunctions
-from coorbit.cv_tomo import wigner_point
+from coorbit.cv_tomo import FockSpace, displacement_cv, qfunctions, wigner_point
 from coorbit.opalg import PSD_TOL, Operator, eig_hermitian, matrix_exp
-from coorbit.discrete_ps import displacement_discrete, point_operator
+from coorbit.discrete_ps import point_operator
 from coorbit.spin_moyal import _angular_momentum
 from coorbit.su11_tomo import _kplus, generators
 from coorbit.symplectic_tomo import hermite_functions, marginal
 
 PAD = 16  # extra Fock levels for products that suffer truncation edge effects
+
+
+def lowering(d):
+    """The Fock lowering operator a|n> = sqrt(n)|n-1> on levels 0..d-1."""
+    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
 
 
 def _scaled_density(rho, mu, nu, y):
@@ -105,6 +113,27 @@ def reconstruct_point(rho, N):
     return 4 * N * acc
 
 
+def shift_q(N, m):
+    """Cyclic position shift: Q^m |n> = |n + m mod N>."""
+    return Operator(np.roll(np.eye(N, dtype=complex), m, axis=0))
+
+
+def shift_v(N, m):
+    """Clock operator: V^m |n> = e^{2 pi i m n / N} |n>."""
+    return Operator(np.diag(np.exp(2j * math.pi * m * np.arange(N) / N)))
+
+
+def parity(N):
+    """Finite parity R |n> = |-n mod N>."""
+    return Operator(np.eye(N, dtype=complex)[-np.arange(N) % N])
+
+
+def displacement_discrete(N, q, p):
+    """Discrete displacement U(q, p) = Q^q V^p e^{i pi p q / N}, as a matrix product."""
+    phase = np.exp(1j * math.pi * ((p * q) % (2 * N)) / N)
+    return Operator(shift_q(N, q).entries @ shift_v(N, p).entries * phase)
+
+
 def point_operator_fourier(N, q, p):
     """A(q, p) = (1/(2N)^2) sum_{m,k} U(m, k) e^{-2 pi i (k q - m p)/(2N)}."""
     acc = np.zeros((N, N), dtype=complex)
@@ -153,6 +182,54 @@ def synthesis_pi(rep, theta, phi):
     )
 
 
+@dataclass(frozen=True)
+class OrderingKind:
+    """Operator-ordering label for characteristic functions.
+
+    One of weyl, normal, antinormal, husimi, standard, antistandard; the
+    husimi variant squeezes the mode through b = mu a + nu a^dag with
+    mu^2 - nu^2 = 1.
+    """
+
+    kind: str
+    mu: float | None = None
+    nu: float | None = None
+
+    _KINDS = ("weyl", "normal", "antinormal", "husimi", "standard", "antistandard")
+
+    def __post_init__(self):
+        if self.kind not in self._KINDS:
+            raise ValueError(f"unknown ordering {self.kind!r}")
+        if self.kind == "husimi":
+            mu = self.mu if self.mu is not None else math.cosh(0.5)
+            nu = self.nu if self.nu is not None else math.sinh(0.5)
+            if abs(mu * mu - nu * nu - 1) > 1e-12:
+                raise ValueError("husimi ordering requires mu^2 - nu^2 = 1")
+            object.__setattr__(self, "mu", mu)
+            object.__setattr__(self, "nu", nu)
+
+
+def ordered_displacement_bch(d, alpha, ordering):
+    """A scalar times a displacement, by BCH, exact on the retained block.
+
+    normal and antinormal are e^{+-|alpha|^2/2} D(alpha), standard and
+    antistandard e^{+-i Re(alpha) Im(alpha)} D(alpha), and husimi
+    e^{|alpha|^2/2} D(mu alpha - nu conj(alpha)).
+    """
+    a = complex(alpha)
+    half, cross = abs(a) ** 2 / 2, 1j * a.real * a.imag
+    exponent = {"weyl": 0, "normal": half, "antinormal": -half, "husimi": half,
+                "standard": cross, "antistandard": -cross}[ordering.kind]
+    if ordering.kind == "husimi":
+        a = ordering.mu * a - ordering.nu * a.conjugate()
+    return cmath.exp(exponent) * displacement_cv(FockSpace(d), a).entries
+
+
+def char_function(rho, alpha, ordering):
+    """Characteristic function Tr[rho U_ordering(alpha)^dag] from the BCH closed form."""
+    return complex(np.vdot(ordered_displacement_bch(rho.dim, alpha, ordering), rho.op.entries))
+
+
 def ordered_displacement(d, alpha, ordering):
     """Products of matrix exponentials at dimension d + PAD, cropped to d."""
     if ordering.kind == "weyl":
@@ -184,7 +261,8 @@ def ordered_displacement(d, alpha, ordering):
 def displaced_parity_closed(d, alpha):
     """2 D(2 alpha) P as a product at dimension d + PAD, cropped to d."""
     dp = d + PAD
-    big = displacement_cv(FockSpace(dp), 2 * alpha).entries @ parity_operator(dp).entries
+    parity_dp = np.diag((-1.0) ** np.arange(dp)).astype(complex)
+    big = displacement_cv(FockSpace(dp), 2 * alpha).entries @ parity_dp
     return 2 * big[:d, :d]
 
 
@@ -349,7 +427,7 @@ def emit_rows(doc, kind):
         return [f"{_fmt(x)},{_fmt(mu)},{_fmt(nu)},{_fmt(wi)}" for x, wi in zip(x_nodes, w)]
     p, grid = cli._spin_grid(params)
     rho = cli._state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
-    samples = spin_moyal.spin_symbols(p, rho, grid)
+    samples = frame_core.analyze(spin_moyal.moyal_system(p, grid, allow_underresolved=True), rho.op)
     ig = grid.to_index_grid(p)
     return [f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
             for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)]

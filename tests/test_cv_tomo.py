@@ -9,10 +9,8 @@ from coorbit import cv_tomo
 from coorbit.frame_core import frame_bounds, gauss_legendre, roundtrip, singular_admissibility
 from coorbit.cv_tomo import (
     FockSpace,
-    OrderingKind,
     PolarGrid,
     admissibility_cv,
-    char_function,
     coherent_state,
     coherent_states,
     displaced_parity,
@@ -20,19 +18,14 @@ from coorbit.cv_tomo import (
     displacement_cv,
     displacements,
     homodyne_system,
-    lowering,
     multimode_admissibility,
     multimode_system,
-    parity_fit_report,
-    parity_operator,
     probe_vector_cv,
     qfunction,
     qfunctions,
-    quadrature_operator,
     wigner_point,
     wigner_points,
 )
-from coorbit.cv_tomo import _ordered_displacement
 from coorbit.opalg import (
     DensityMatrix,
     Operator,
@@ -41,6 +34,7 @@ from coorbit.opalg import (
     matrix_exp,
 )
 from coorbit.symplectic_tomo import marginal_wigner_consistency
+from loop_reference import OrderingKind, char_function, lowering
 
 
 def fock_state(d, n):
@@ -110,7 +104,15 @@ class TestDisplacement:
             assert np.array_equal(row, displacement_cv(FockSpace(12), alpha).entries)
 
 
+def padded_char(rho, alpha, kind):
+    """Tr[rho U_kind(alpha)^dag] from the padded products of matrix exponentials."""
+    u = loop_reference.ordered_displacement(rho.dim, alpha, OrderingKind(kind))
+    return complex(np.vdot(u, rho.op.entries))
+
+
 class TestOrderings:
+    # padded products of matrix exponentials against the BCH closed form, a scalar
+    # times the homodyne analysis sample Tr[rho D(beta)^dag] from displacement_cv
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             OrderingKind("symmetric")
@@ -125,14 +127,14 @@ class TestOrderings:
         # chi_normal(alpha) = e^{|alpha|^2 / 2} chi_weyl(alpha)
         rho = coherent_density(24, 0.3)
         alpha = 0.4 + 0.2j
-        cn = char_function(rho, alpha, OrderingKind("normal"))
+        cn = padded_char(rho, alpha, "normal")
         cw = char_function(rho, alpha, OrderingKind("weyl"))
         assert cn == pytest.approx(cw * math.exp(abs(alpha) ** 2 / 2), abs=1e-10)
 
     def test_antinormal_weyl_ratio(self):
         rho = fock_state(24, 1)
         alpha = 0.5
-        ca = char_function(rho, alpha, OrderingKind("antinormal"))
+        ca = padded_char(rho, alpha, "antinormal")
         cw = char_function(rho, alpha, OrderingKind("weyl"))
         assert ca == pytest.approx(cw * math.exp(-abs(alpha) ** 2 / 2), abs=1e-10)
 
@@ -140,7 +142,7 @@ class TestOrderings:
         # the two factor orders differ by the scalar e^{+-i q0 p0}
         rho = coherent_density(24, 0.2 - 0.1j)
         alpha = 0.3 + 0.5j
-        cs = char_function(rho, alpha, OrderingKind("standard"))
+        cs = padded_char(rho, alpha, "standard")
         ca = char_function(rho, alpha, OrderingKind("antistandard"))
         q0, p0 = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
         assert cs == pytest.approx(ca * np.exp(-1j * q0 * p0), abs=1e-9)
@@ -152,7 +154,7 @@ class TestOrderings:
         for d in (1, 4, 10):
             for alpha in (0.0, 0.3, -0.2 + 0.4j, 0.5j, 0.35 - 0.35j):
                 want = loop_reference.ordered_displacement(d, alpha, ordering)
-                got = _ordered_displacement(d, alpha, ordering)
+                got = loop_reference.ordered_displacement_bch(d, alpha, ordering)
                 assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", OrderingKind._KINDS)
@@ -180,29 +182,6 @@ class TestOrderings:
         rho = coherent_density(32, 0.5j)
         for alpha in (0.1, 0.7 + 0.7j, 1.5j):
             assert abs(char_function(rho, alpha, OrderingKind("weyl"))) <= 1 + 1e-10
-
-
-class TestQuadrature:
-    def test_phi_zero_is_position_like(self):
-        x = quadrature_operator(FockSpace(3), 0.0).entries
-        expect = np.array(
-            [[0, 1, 0], [1, 0, math.sqrt(2)], [0, math.sqrt(2), 0]], dtype=complex
-        ) / 2
-        assert np.abs(x - expect).max() < 1e-14
-
-    def test_hermitian(self):
-        x = quadrature_operator(FockSpace(8), 1.1).entries
-        assert np.abs(x - x.conj().T).max() < 1e-14
-
-    def test_rotation_covariance(self):
-        # X_phi = e^{i phi n} X_0 e^{-i phi n}  up to the opposite sign
-        d = 8
-        n = np.diag(np.arange(d))
-        phi = 0.8
-        u = np.diag(np.exp(1j * phi * np.arange(d)))
-        x0 = quadrature_operator(FockSpace(d), 0.0).entries
-        xphi = quadrature_operator(FockSpace(d), phi).entries
-        assert np.abs(u @ x0 @ u.conj().T - xphi).max() < 1e-13
 
 
 class TestHomodyneSystem:
@@ -290,14 +269,17 @@ class TestProbeAdmissibility:
 
 class TestDisplacedParity:
     def test_fit_constant_and_residual(self):
-        c, residual = parity_fit_report(16)
+        # the least-squares c minimizing ||U(0) - c P|| is the closed form's constant 2
+        u0 = displaced_parity(FockSpace(16), 0.0).entries
+        par = np.diag((-1.0) ** np.arange(16))
+        c = np.vdot(par, u0) / np.vdot(par, par)
         assert c.real == pytest.approx(2.0, abs=1e-6)
         assert abs(c.imag) < 1e-9
-        assert residual < 1e-6
+        assert np.linalg.norm(u0 - c * par) < 1e-6
 
     def test_quadrature_matches_scaled_parity(self):
         u0 = displaced_parity(FockSpace(10), 0.0).entries
-        assert np.abs(u0 - 2 * parity_operator(10).entries).max() < 1e-7
+        assert np.abs(u0 - 2 * np.diag((-1.0) ** np.arange(10))).max() < 1e-7
 
     @pytest.mark.parametrize("d", [4, 16])
     def test_closed_form_bit_equal_to_padded_product(self, d):
@@ -406,6 +388,15 @@ class TestMultimode:
         g = PolarGrid(2.0, 2, 2)
         with pytest.raises(ValueError):
             multimode_system([f, f, f], [g, g, g])
+
+    @pytest.mark.parametrize("modes, grids", [(2, 1), (1, 2), (0, 0), (0, 1)])
+    def test_rejects_mode_grid_mismatch(self, modes, grids):
+        # zip would drop the unmatched modes, and no modes would give 1
+        f, g = FockSpace(4), PolarGrid(2.0, 4, 4)
+        with pytest.raises(ValueError, match="one grid per mode"):
+            multimode_system([f] * modes, [g] * grids)
+        with pytest.raises(ValueError, match="one grid per mode"):
+            multimode_admissibility([f] * modes, 2.0, [g] * grids)
 
     def test_single_mode_passthrough(self):
         f = FockSpace(4)

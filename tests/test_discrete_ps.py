@@ -8,16 +8,13 @@ import loop_reference
 from coorbit import discrete_ps
 from coorbit.discrete_ps import (
     discrete_wigner,
-    displacement_discrete,
     heisenberg_finite_system,
-    parity,
     point_operator,
     reconstruct_displacement,
     reconstruct_point,
-    shift_q,
-    shift_v,
 )
 from coorbit.opalg import DensityMatrix, Operator
+from loop_reference import displacement_discrete, parity, shift_q, shift_v
 
 
 def random_density(rng, d):
@@ -116,6 +113,14 @@ class TestPointOperator:
                     a1 = point_operator(n, q, p).entries
                     a2 = loop_reference.point_operator_fourier(n, q, p)
                     assert np.abs(a1 - a2).max() < 1e-13
+
+    def test_scatter_bit_equal_to_product(self):
+        # (1/2N) Q^q R V^{-p} e^{i pi p q / N} multiplied out; a zero may differ only in sign
+        for n in range(2, 25):
+            for q, p in itertools.product(range(2 * n), repeat=2):
+                phase = np.exp(1j * math.pi * ((p * q) % (2 * n)) / n)
+                want = shift_q(n, q).entries @ parity(n).entries @ shift_v(n, -p).entries
+                assert np.array_equal(point_operator(n, q, p).entries, want * phase / (2 * n))
 
     def test_hermitian(self):
         for n in (2, 3):

@@ -21,7 +21,7 @@ import pytest
 import kahan_reference as ref
 import loop_reference
 from coorbit.cv_tomo import FockSpace, PolarGrid, displacement_cv, homodyne_system, multimode_system
-from coorbit.discrete_ps import displacement_discrete, heisenberg_finite_system
+from coorbit.discrete_ps import heisenberg_finite_system
 from coorbit import frame_core
 from coorbit.frame_core import (
     SampleVector,
@@ -41,7 +41,7 @@ TOL = 1e-13
 
 def _dps(N):
     def fam(node):
-        return displacement_discrete(N, int(node[0]), int(node[1])).entries
+        return loop_reference.displacement_discrete(N, int(node[0]), int(node[1])).entries
 
     return heisenberg_finite_system(N), fam, fam
 
@@ -69,7 +69,7 @@ def _homodyne(d):
 
 
 def _su11(cutoff):
-    # the per-node power series, since analysis_B and synthesis_pi share the slice code
+    # the per-node power series, not the slice code the system is built from
     rep = DiscreteSeriesRep(1.0, cutoff)
     return (
         su11_system(rep, SUGrid(3.0, 12, 8)),

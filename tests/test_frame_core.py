@@ -9,7 +9,7 @@ import pytest
 import loop_reference
 from coorbit import cv_tomo, frame_core, spin_moyal, su11_tomo
 from coorbit.cv_tomo import FockSpace, PolarGrid, homodyne_system, multimode_system
-from coorbit.discrete_ps import displacement_discrete, heisenberg_finite_system
+from coorbit.discrete_ps import heisenberg_finite_system
 from coorbit.frame_core import (
     IndexGrid,
     RegularizerSpec,
@@ -21,7 +21,7 @@ from coorbit.frame_core import (
     roundtrip,
     synthesize,
 )
-from coorbit.opalg import Operator, hs_inner
+from coorbit.opalg import DensityMatrix, Operator, hs_inner
 from coorbit.spin_moyal import SpinParams, kernel_direct, moyal_system, sphere_grid
 from coorbit.su11_tomo import DiscreteSeriesRep, SUGrid, su11_system
 from test_engine_oracle import GATE_SYSTEMS
@@ -103,7 +103,7 @@ class TestIndexGrid:
         sys = heisenberg_finite_system(4)
         for q in range(4):
             for p in range(4):
-                want = displacement_discrete(4, q, p).entries
+                want = loop_reference.displacement_discrete(4, q, p).entries
                 assert np.array_equal(sys.analysis((q, p)).entries, want)
                 assert np.array_equal(sys.synthesis(np.array([q, p])).entries, want)
         for node in [(0.5, 0.0), (0.0,), (0.0, 0.0, 0.0)]:
@@ -126,6 +126,15 @@ class TestIndexGrid:
         assert sys == sys and sys != other
         table = {grid: 1, twin: 2, sys: 3}
         assert (table[grid], table[twin], table[sys]) == (1, 2, 3)
+        # the carriers of states, samples and sphere grids, likewise
+        p = SpinParams(2)
+        for make in (lambda: Operator(np.eye(2) / 2),
+                     lambda: DensityMatrix(Operator(np.eye(2) / 2)),
+                     lambda: SampleVector(np.ones(3), grid.grid_id),
+                     lambda: sphere_grid(p)):
+            one, two = make(), make()
+            assert one == one and not one == two and one != two
+            assert {one: 1, two: 2}[two] == 2
 
 
 def test_gauss_legendre_is_one_shared_read_only_rule():

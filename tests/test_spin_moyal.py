@@ -16,7 +16,6 @@ from coorbit.spin_moyal import (
     moyal_system,
     rotation_operator,
     sphere_grid,
-    spin_symbols,
     tracial_overlap,
 )
 
@@ -256,6 +255,11 @@ class TestMoyalSystem:
         base = analyze(sys, rho).values.reshape(-1, n_phi)
         moved = analyze(sys, rotated).values.reshape(-1, n_phi)
         assert np.abs(np.roll(base, 1, axis=1) - moved).max() < 1e-10
+
+
+def spin_symbols(p, rho, grid):
+    """Spherical symbols Tr(rho Delta^n): the analysis samples, as ``emit symbols`` takes them."""
+    return analyze(moyal_system(p, grid, allow_underresolved=True), rho.op)
 
 
 class TestSpinSymbols:
