@@ -28,19 +28,20 @@ whose U(q, p) holds a - b = q mod N), and form one class otherwise. These
 charge classes are the engine's only block structure. They are packed
 first-fit, largest first, down the diagonals of equal m x m blocks, each built
 from the phase-0 slices with factor n_phi w_s. The round trip is a gather, one
-batched block product and a scatter; admissibility is <l0p, S b0p>; frame
+batched block product and a scatter; admissibility is <l0p, S b0p>; l^2 frame
 bounds are the spectrum of (S + S^dag) / 2 on each block's occupied leading
-square. Slice-sized contractions stay off BLAS, except the frame block
-product: one batched ``matmul``. Instantiations supply grids,
-slices, charges; only the two-mode builder expands a family to one matrix per
-node (:func:`expand_family`).
+square, and the l^d bounds for d != 2 follow in closed form from that of the
+analysis family paired with itself. Slice-sized contractions stay off BLAS,
+except the frame block product: one batched ``matmul``. Instantiations supply
+grids, slices, charges; only the two-mode builder expands a family to one
+matrix per node (:func:`expand_family`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -124,7 +125,7 @@ class SampleVector:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Empirical frame bounds for a system."""
+    """Frame bounds of a system and the ends of the l^2 spectrum they come from."""
 
     A: float
     B: float
@@ -374,21 +375,14 @@ def admissibility_constant(
     return AdmissibilityResult(c, proj)
 
 
-def singular_admissibility(
-    sys: TomographicSystem, probe: Operator, family: str = "synthesis"
-) -> complex:
+def singular_admissibility(sys: TomographicSystem, probe: Operator) -> complex:
     """Probe-regularized admissibility constant for singular vacua.
 
-    C(b0, p0) = < sum_k w_k <F_k, probe> F_k, L0 >, where the operator
-    family F is the system's stored image of the group orbit through the
-    vacuum (``synthesis`` by default; ``analysis`` for systems whose
-    synthesis side is a dual family rather than the orbit itself).
+    C(b0, p0) = < sum_k w_k <F_k, probe> F_k, L0 > over the analysis family F,
+    the system's stored image of the group orbit through the vacuum.
     """
-    if family not in ("synthesis", "analysis"):
-        raise ValueError(f"unknown family {family!r}")
-    layout = sys._synthesis_layout if family == "synthesis" else sys._analysis_layout
-    p = _samples(layout, probe)
-    l0 = _samples(layout, sys.test_functional)
+    p = _samples(sys._analysis_layout, probe)
+    l0 = _samples(sys._analysis_layout, sys.test_functional)
     total = complex(np.sum(sys.grid.weights * p * l0.conj()))
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise ValueError("singular admissibility quadrature diverged")
@@ -406,32 +400,36 @@ def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:
     return float(np.sum(grid.weights * np.abs(s.values) ** d) ** (1 / d))
 
 
-def frame_bounds(
-    sys: TomographicSystem, d: float = 2, sample_count: int = 256, seed: int = 0
-) -> FrameReport:
-    """Frame bounds of the analysis/synthesis pair.
+def frame_bounds(sys: TomographicSystem, d: float = 2) -> FrameReport:
+    """Frame bounds A <= ||analyze(o)||_d / ||o||_HS <= B (weighted l^d norm).
 
-    For d = 2, A and B are the square roots of the extreme eigenvalues of
-    (S + S^dag) / 2, S = sum_k w_k vec(G_k) vec(F_k)^dag, taken over each
-    frame operator block's occupied leading square, one stacked eigensolve
-    per distinct square size. For d != 2 the bounds are sampled empirically
-    over random unit-norm operators (estimates, not certificates).
+    For d = 2, A and B are the square roots of the extreme eigenvalues of the
+    pair's mixed frame operator (S + S^dag) / 2, S = sum_k w_k vec(G_k)
+    vec(F_k)^dag, taken over each block's occupied leading square, one
+    stacked eigensolve per distinct square size. For d != 2 they are certified
+    from the analysis family paired with itself, whose spectrum gives the l^2
+    bounds A2, B2, with W = sum_k w_k and B_inf = max_k ||F_k||_HS (the l^inf
+    bound, by Cauchy-Schwarz at each node). Hoelder between l^2, l^d and l^inf
+    gives A = A2 W^(1/d - 1/2), B = B2^(2/d) B_inf^(1 - 2/d) for d > 2 and
+    A = (A2^2 / B_inf^(2 - d))^(1/d), B = B2 W^(1/d - 1/2) for 1 <= d < 2.
+    The gram_spectrum fields hold the ends of the spectrum used.
     """
-    if d == 2:
-        frame = sys._frame
-        sizes = np.count_nonzero(frame.index < sys.dim**2, 1)
-        squares = (frame.blocks[sizes == k, :k, :k] for k in np.unique(sizes))
-        evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).ravel()
-                                for b in squares])
-        lo, hi = float(evals.min()), float(evals.max())
-    else:
-        dim, rng, ratios = sys.dim, np.random.default_rng(seed), []
-        for _ in range(sample_count):
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            m /= np.linalg.norm(m)
-            ratios.append(coorbit_norm(analyze(sys, Operator(m)), sys.grid, d))
-        lo, hi = min(ratios) ** 2, max(ratios) ** 2
-    a = math.sqrt(max(lo, 0.0))
-    b = math.sqrt(max(hi, 0.0))
-    return FrameReport(a, b, lo, hi)
-
+    if not d >= 1:
+        raise ValueError("norm exponent must be >= 1")
+    if d != 2 and sys.synthesis_family is not sys.analysis_family:
+        sys = replace(sys, synthesis_family=sys.analysis_family)
+    frame = sys._frame
+    sizes = np.count_nonzero(frame.index < sys.dim**2, 1)
+    squares = (frame.blocks[sizes == k, :k, :k] for k in np.unique(sizes))
+    evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).ravel()
+                            for b in squares])
+    lo, hi = float(evals.min()), float(evals.max())
+    a, b = math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0))
+    if d != 2:
+        w = math.fsum(sys.grid.weights)
+        b_inf = float(np.linalg.norm(sys.analysis_family.slices, axis=(1, 2)).max())
+        if d > 2:
+            a, b = a * w ** (1 / d - 0.5), b ** (2 / d) * b_inf ** (1 - 2 / d)
+        else:
+            a, b = (a * a / b_inf ** (2 - d)) ** (1 / d) if b_inf else 0.0, b * w ** (1 / d - 0.5)
+    return FrameReport(min(a, b), b, lo, hi)  # min: A = B up to rounding on a tight family

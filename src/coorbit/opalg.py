@@ -53,11 +53,6 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.entries * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

@@ -203,4 +203,4 @@ def thermal_admissibility(rep: DiscreteSeriesRep, b: float, grid: SUGrid) -> com
     for large theta_max and cutoff.
     """
     sys = su11_system(rep, grid)
-    return singular_admissibility(sys, thermal_probe(rep, b), family="analysis")
+    return singular_admissibility(sys, thermal_probe(rep, b))

@@ -165,6 +165,7 @@ def marginal_wigner_consistency(
     if X_nodes is None:
         X_nodes = np.linspace(-3, 3, 13)
     x = np.asarray(X_nodes, dtype=float)
+    direct = marginal(rho, mu, nu, x)  # rejects the degenerate direction before s divides
     s = math.hypot(mu, nu)
     tn, tw = gauss_legendre(n_t)
     t, tw = tn * 5.0, tw * 5.0
@@ -172,4 +173,4 @@ def marginal_wigner_consistency(
     e, e_perp = np.array([mu, nu]) / s, np.array([-nu, mu]) / s
     points = (x / s)[:, None, None] * e + t[:, None] * e_perp
     w = wigner_points(rho, points[..., 0].ravel(), points[..., 1].ravel()).reshape(len(x), n_t)
-    return float(np.max(np.abs(w @ tw / s - marginal(rho, mu, nu, x)), initial=0.0))
+    return float(np.max(np.abs(w @ tw / s - direct), initial=0.0))

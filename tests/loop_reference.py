@@ -18,14 +18,15 @@ that the package replaced with numpy: the Laguerre displacement from
 engine's sampling and resummation as they were before each system cached
 its charge-difference layout: grouped, conjugated and exponentiated anew on
 every call, the frame bounds with one eigensolve call per frame operator
-block, and the frame block product as a BLAS-free ``einsum``. Of ``opalg`` it
-keeps the fidelity through the d x d square root of either state and the PSD
-test of ``DensityMatrix`` by its full spectrum. Of the
-grids and the CLI it keeps the slice-major grid built node by node as
-tuples of Python floats, and the ``emit`` CSV rows formatted one value at a
-time. Of ``spin_moyal`` it keeps the dual coefficients as the defining sum
-over l, by the three-term recurrence of the discrete Chebyshev polynomials
-in exact rationals.
+block, and the frame block product as a BLAS-free ``einsum``. For the l^d
+frame bounds it keeps the ratios of seeded random operators and the analysis
+family's l^2 bounds from one dense SVD. Of ``opalg`` it keeps the fidelity
+through the d x d square root of either state and the PSD test of
+``DensityMatrix`` by its full spectrum. Of the grids and the CLI it keeps
+the slice-major grid built node by node as tuples of Python floats, and the
+``emit`` CSV rows formatted one value at a time. Of ``spin_moyal`` it keeps
+the dual coefficients as the defining sum over l, by the three-term
+recurrence of the discrete Chebyshev polynomials in exact rationals.
 """
 
 import cmath
@@ -230,11 +231,11 @@ def char_function(rho, alpha, ordering):
     return complex(np.vdot(ordered_displacement_bch(rho.dim, alpha, ordering), rho.op.entries))
 
 
-def ordered_displacement(d, alpha, ordering):
-    """Products of matrix exponentials at dimension d + PAD, cropped to d."""
+def ordered_displacement(d, alpha, ordering, pad=PAD):
+    """Products of matrix exponentials at dimension d + pad, cropped to d."""
     if ordering.kind == "weyl":
         return displacement_cv(FockSpace(d), alpha).entries
-    dp = d + PAD
+    dp = d + pad
     a = lowering(dp)
     ad = a.conj().T
     if ordering.kind in ("normal", "antinormal"):
@@ -360,6 +361,31 @@ def frame_bounds(sys):
     squares = (b[:k, :k] for b, k in zip(frame.blocks, sizes))
     evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().T) / 2) for b in squares])
     return math.sqrt(max(float(evals.min()), 0.0)), math.sqrt(max(float(evals.max()), 0.0))
+
+
+def sampled_frame_ratios(sys, d, sample_count=256, seed=0):
+    """Smallest and largest l^d ratio ||analyze(m)||_d over seeded random unit-norm m.
+
+    A random estimate of the l^d frame bounds: every ratio lies inside the
+    certified bounds of ``frame_core.frame_bounds``.
+    """
+    dim, rng, ratios = sys.dim, np.random.default_rng(seed), []
+    for _ in range(sample_count):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m /= np.linalg.norm(m)
+        ratios.append(frame_core.coorbit_norm(frame_core.analyze(sys, Operator(m)), sys.grid, d))
+    return min(ratios), max(ratios)
+
+
+def analysis_singular_values(sys):
+    """Smallest and largest singular value of o -> (sqrt(w_k) Tr(o F_k^dag))_k, one dense SVD.
+
+    These are the l^2 frame bounds of the analysis family; the smallest is 0
+    when there are fewer nodes than dim^2 entries.
+    """
+    dense = frame_core.expand_family(sys.analysis_family, sys.phis).reshape(len(sys.grid), -1)
+    sv = np.linalg.svd(np.sqrt(sys.grid.weights)[:, None] * dense.conj(), compute_uv=False)
+    return (float(sv.min()) if len(sys.grid) >= sys.dim**2 else 0.0), float(sv.max())
 
 
 def apply_frame(sys, o):

@@ -139,12 +139,11 @@ def test_admissibility_matches_reference(case):
 
 
 def test_singular_admissibility_matches_reference(case):
-    sys, analysis, synthesis = case
+    sys, analysis, _ = case
     probe = _random_operator(np.random.default_rng(3), sys.dim)
     l0 = sys.test_functional.entries
-    for name, fam in (("analysis", analysis), ("synthesis", synthesis)):
-        got = singular_admissibility(sys, probe, family=name)
-        assert _close(got, ref.singular_admissibility(sys.grid, fam, probe.entries, l0))
+    got = singular_admissibility(sys, probe)
+    assert _close(got, ref.singular_admissibility(sys.grid, analysis, probe.entries, l0))
 
 
 def test_frame_bounds_match_full_gram(case):

@@ -337,6 +337,25 @@ SEVERAL_BLOCK_SIZES = {
 }
 
 
+def _one_node(c, w):
+    """One node of weight w whose 1 x 1 slice is c: every l^d ratio is |c| w^(1/d), so A = B."""
+    family = frame_core.SliceFamily(np.full((1, 1, 1), c, dtype=complex), np.zeros(1))
+    return frame_core.TomographicSystem(IndexGrid(((0.0, 0.0),), np.array([w])), family, family,
+                                        Operator(np.eye(1)), Operator(np.eye(1)))
+
+
+# the systems of the certified d != 2 bounds; su11 at cutoff 6 is not a frame (A = 0),
+# and on the tight one-node family A and B round apart in either order
+CERTIFIED = {
+    "one-node": lambda: _one_node(3.0, 2.7),
+    "dps-3": lambda: heisenberg_finite_system(3),
+    "dps-5": lambda: heisenberg_finite_system(5),
+    "homodyne-6": lambda: homodyne_system(FockSpace(6), PolarGrid(5.0, 16, 16)),
+    "spin-3": lambda: moyal_system(SpinParams(3), sphere_grid(SpinParams(3))),
+    "su11-6": SEVERAL_BLOCK_SIZES["su11-6"],
+}
+
+
 class TestFrameBounds:
     def test_lattice_parseval_bounds(self):
         for n in (2, 3, 4):
@@ -398,9 +417,29 @@ class TestFrameBounds:
         sizes = np.count_nonzero(sys._frame.index < sys.dim**2, 1)
         assert len(np.unique(sizes)) >= 3
 
-    def test_empirical_bounds_for_other_exponents(self):
-        report = frame_bounds(heisenberg_finite_system(2), d=4, sample_count=32)
-        assert 0 < report.A <= report.B
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_certified_bounds_contain_sampled_ratios(self, name):
+        # d != 2 bounds come from the analysis family's own l^2 spectrum, whose
+        # ends match a dense SVD; every sampled ratio lies inside them
+        sys = CERTIFIED[name]()
+        low, high = loop_reference.analysis_singular_values(sys)
+        for d in (1, 1.5, 3, 4, math.inf):
+            report = frame_bounds(sys, d)
+            assert abs(math.sqrt(max(report.gram_spectrum_min, 0.0)) - low) <= 1e-12 * high
+            assert abs(math.sqrt(report.gram_spectrum_max) - high) <= 1e-12 * high
+            smallest, largest = loop_reference.sampled_frame_ratios(sys, d)
+            assert report.A <= smallest * (1 + 1e-12)
+            assert largest <= report.B * (1 + 1e-12)
+            if name == "su11-6":  # the analysis operator has a null direction: not a frame
+                assert report.A == 0 and low <= 1e-12 * high
+            if name == "one-node":  # tight: both bounds are the one ratio
+                assert report.A == pytest.approx(smallest, rel=1e-12)
+                assert report.B == pytest.approx(largest, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [0.5, math.nan])
+    def test_rejects_exponent_below_one(self, d):
+        with pytest.raises(ValueError, match="norm exponent must be >= 1"):
+            frame_bounds(heisenberg_finite_system(2), d)
 
     def test_report_accepts_zero_lower_bound(self):
         # an under-resolved grid has A = 0; that is a value to report

@@ -337,7 +337,8 @@ class TestFidelity:
         # the repair's (p, V) rebuild sigma and agree with a fresh eigh: same
         # eigenvalues, and the same state and square root from either
         rng = np.random.default_rng(300 + d)
-        sigma = closest_density(full_rank_state(rng, d) * 2.5)  # renormalized by the repair
+        scaled = Operator(full_rank_state(rng, d).entries * 2.5)
+        sigma = closest_density(scaled)  # renormalized by the repair
         (p, v), (fresh_p, fresh_v) = sigma._spectrum, DensityMatrix(sigma.op)._spectrum
         assert np.abs(p - fresh_p).max() <= 1e-13
         for u, q in ((v, p), (fresh_v, fresh_p)):

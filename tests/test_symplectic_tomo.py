@@ -102,9 +102,13 @@ class TestMarginal:
         b = marginal(rho, 1.0, 0.0, x / 2) / 2
         assert np.abs(a - b).max() < 1e-12
 
-    def test_degenerate_direction_rejected(self):
-        with pytest.raises(ValueError):
-            marginal(fock_state(4, 0), 0.0, 0.0, np.array([0.0]))
+    @pytest.mark.parametrize("check", [
+        lambda rho: marginal(rho, 0.0, 0.0, np.array([0.0])),
+        lambda rho: marginal_wigner_consistency(rho, FockSpace(4), 0.0, 0.0),
+    ], ids=["marginal", "marginal_wigner_consistency"])
+    def test_degenerate_direction_rejected(self, check):
+        with pytest.raises(ValueError, match="degenerate direction"):
+            check(fock_state(4, 0))
 
 
 def padded_exponentials(d, mu, nu):
