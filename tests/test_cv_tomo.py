@@ -155,16 +155,29 @@ class TestOrderings:
                 want = loop_reference.ordered_displacement(d, alpha, ordering)
                 got = loop_reference.ordered_displacement_bch(d, alpha, ordering)
                 assert np.abs(got - want).max() <= 1e-12
-        # and on a random d 24 state at |alpha| ~ 1.5, where the antinormal product
-        # needs 32 or more padding levels; from 32 to 96 the products' own rounding
-        # leaves up to 1.4e-11 (husimi), so the bound is 3e-11
+
+    @pytest.mark.parametrize("kind", OrderingKind._KINDS)
+    @pytest.mark.parametrize("alpha", [1.5j, 1 + 1j])
+    def test_scalar_times_weyl_on_random_state(self, kind, alpha):
+        # chi_kind(alpha) = conj(c) chi_weyl(beta) for the BCH scalar c and point beta
         rng = np.random.default_rng(7)
         m = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
         rho = DensityMatrix(Operator(m @ m.conj().T / np.trace(m @ m.conj().T).real))
-        for alpha in (1.5j, 1 + 1j):
-            padded = loop_reference.ordered_displacement(24, alpha, ordering, pad=48)
-            want = char_function(rho, alpha, ordering)
-            assert abs(np.vdot(padded, rho.op.entries) - want) <= 3e-11
+        ordering = OrderingKind(kind)
+        half, cross = abs(alpha) ** 2 / 2, 1j * alpha.real * alpha.imag
+        c = {"weyl": 1, "normal": math.exp(half), "antinormal": math.exp(-half),
+             "husimi": math.exp(half), "standard": np.exp(cross),
+             "antistandard": np.exp(-cross)}[kind]
+        beta = ordering.mu * alpha - ordering.nu * np.conj(alpha) if kind == "husimi" else alpha
+        want = np.conj(c) * char_function(rho, beta, OrderingKind("weyl"))
+        got = char_function(rho, alpha, ordering)
+        assert abs(got - want) <= 1e-12
+        # the same value from the padded product of matrix exponentials, which at
+        # |alpha| ~ 1.5 needs 32 or more padding levels for the antinormal order;
+        # from 32 to 96 the products' own rounding leaves up to 1.4e-11 (husimi),
+        # so the bound is 3e-11
+        padded = loop_reference.ordered_displacement(24, alpha, ordering, pad=48)
+        assert abs(np.vdot(padded, rho.op.entries) - got) <= 3e-11
 
     def test_weyl_at_zero_is_trace(self):
         rho = fock_state(10, 3)
