@@ -49,6 +49,8 @@ import numpy as np
 
 from .opalg import Operator, hs_inner
 
+_ZERO = np.zeros(1, dtype=complex)  # _apply_frame's padding entry, read at flat index dim^2
+
 
 @dataclass(frozen=True, eq=False)
 class IndexGrid:
@@ -316,7 +318,8 @@ def _apply_frame(sys: TomographicSystem, o: Operator) -> np.ndarray:
         raise ValueError(f"dimension mismatch: operator {o.dim}, system {sys.dim}")
     frame, n = sys._frame, sys.dim**2
     out = np.empty(n + 1, dtype=complex)
-    out[frame.index] = np.matmul(frame.blocks, np.append(o.entries, 0)[frame.index, None])[..., 0]
+    padded = np.concatenate((o.entries.ravel(), _ZERO))
+    out[frame.index] = np.matmul(frame.blocks, padded[frame.index, None])[..., 0]
     return out[:n].reshape(sys.dim, sys.dim)
 
 
@@ -395,7 +398,7 @@ def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:
         raise ValueError("sample vector is not aligned with the grid")
     if d == math.inf:
         return float(np.abs(s.values).max()) if len(s.values) else 0.0
-    if d < 1:
+    if not d >= 1:
         raise ValueError("norm exponent must be >= 1")
     return float(np.sum(grid.weights * np.abs(s.values) ** d) ** (1 / d))
 

@@ -6,8 +6,9 @@ carrier types (:class:`Operator`, :class:`DensityMatrix`) and the handful of
 linear-algebra primitives the reconstruction engines need — the
 Hilbert-Schmidt pairing, tensor products, Hermitian eigendecomposition,
 matrix exponentials and state fidelity. Fidelity runs in the range of one
-state's clipped spectrum, cached on the :class:`DensityMatrix` and seeded by
-:func:`closest_density`, whose PSD check reads it; any other state's PSD check
+state's clipped spectrum, cached on the :class:`DensityMatrix`. The state
+:func:`closest_density` returns is held as that spectrum, checked as a
+spectrum, and its matrix is built only when read; any other state's PSD check
 is a Cholesky test of rho + PSD_TOL I, with eigenvalues only on failure.
 
 All functions are pure; operators are immutable after construction.
@@ -15,13 +16,14 @@ All functions are pure; operators are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -30,7 +32,7 @@ def _as_square_complex(entries) -> np.ndarray:
         raise ValueError(f"operator entries must be square, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("operator dimension must be positive")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValueError("operator entries must be finite")
     return arr
 
@@ -54,7 +56,23 @@ class Operator:
         return complex(np.trace(self.entries))
 
 
-@dataclass(frozen=True, eq=False)
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2, after the Hermiticity and unit-trace checks of a state."""
+    herm_gap = np.abs(m - m.conj().T).max()
+    if herm_gap > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: deviation {herm_gap:.3e}")
+    sym = (m + m.conj().T) / 2
+    tr = np.trace(sym).real
+    if abs(tr - 1) > 1e-12:
+        raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
+    return sym
+
+
+def _check_psd(lowest: float) -> None:
+    if lowest < -PSD_TOL:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {lowest:.3e}")
+
+
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator.
 
@@ -62,46 +80,52 @@ class DensityMatrix:
     eigenvalue >= -1e-10) are accepted and symmetrized; anything worse is
     rejected. Quadrature reconstructions return near-Hermitian matrices, so
     the small symmetrization step keeps round trips composable.
+
+    A state holds its matrix ``op`` or its spectrum ``_spectrum`` (clipped
+    eigenvalues p, eigenvectors V) and computes the other on first read: the
+    repair (:func:`closest_density`) seeds the spectrum, so its matrix
+    V diag(p) V^dag is built only when read. Equality is identity.
     """
 
-    op: Operator
-    _seed: InitVar[tuple | None] = None
+    def __init__(self, op: Operator):
+        sym = _symmetrized(op.entries)
+        try:
+            np.linalg.cholesky(sym + PSD_TOL * np.eye(len(sym)))
+        except np.linalg.LinAlgError:
+            _check_psd(np.linalg.eigvalsh(sym)[0])
+        vars(self)["op"] = Operator(sym)
 
-    def __post_init__(self, _seed):
-        m = self.op.entries
-        herm_gap = np.abs(m - m.conj().T).max()
-        if herm_gap > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: deviation {herm_gap:.3e}")
-        sym = (m + m.conj().T) / 2
-        tr = np.trace(sym).real
-        if abs(tr - 1) > 1e-12:
-            raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
-        if _seed is not None:
-            vars(self)["_spectrum"], lowest = _seed, _seed[0].min()
-        else:
-            try:
-                np.linalg.cholesky(sym + PSD_TOL * np.eye(len(sym)))
-                lowest = 0.0
-            except np.linalg.LinAlgError:
-                lowest = np.linalg.eigvalsh(sym)[0]
-        if lowest < -PSD_TOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lowest:.3e}")
-        object.__setattr__(self, "op", Operator(sym))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def _from_spectrum(cls, p: np.ndarray, v: np.ndarray) -> "DensityMatrix":
-        """The state V diag(p) V^dag with its spectrum (p, V) seeded, for p >= 0 summing to 1."""
-        return cls(Operator((v * p) @ v.conj().T), (p, v))
+        """The state V diag(p) V^dag held as (p, V), for p >= 0 summing to 1 and unitary V."""
+        if not (np.isfinite(p).all() and np.isfinite(v).all()):
+            raise ValueError("operator entries must be finite")
+        total = p.sum()
+        if abs(total - 1) > 1e-12:
+            raise ValueError(f"trace {total!r} differs from 1 beyond tolerance")
+        _check_psd(p.min())
+        state = cls.__new__(cls)
+        vars(state)["_spectrum"] = (p, v)
+        return state
+
+    @cached_property
+    def op(self) -> Operator:
+        p, v = self._spectrum
+        return Operator(_symmetrized((v * p) @ v.conj().T))
 
     @property
     def dim(self) -> int:
-        return self.op.dim
+        held = vars(self)
+        return held["op"].dim if "op" in held else len(held["_spectrum"][0])
 
     @cached_property
     def _spectrum(self) -> tuple:
         """(eigenvalues clipped to >= 0, eigenvectors) of the state."""
         w, v = eig_hermitian(self.op)
-        return np.clip(w, 0, None), v
+        return np.maximum(w, 0), v
 
 
 def hs_inner(a: Operator, b: Operator) -> complex:
@@ -155,8 +179,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     inner = x.conj().T @ rho.op.entries @ x
     evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     # drop rounding (matrix_rank's cut): its roots would lift a pure rho's score by ~1e-7
-    evals = evals[evals > rho.dim * np.finfo(float).eps * evals[-1]]
-    f = np.sqrt(np.clip(evals, 0, None)).sum() ** 2
+    evals = evals[evals > rho.dim * _EPS * evals[-1]]
+    f = np.sqrt(np.maximum(evals, 0)).sum() ** 2
     return float(min(max(f, 0.0), 1.0))
 
 
@@ -166,11 +190,12 @@ def closest_density(a: Operator) -> DensityMatrix:
     Symmetrizes, clips negative eigenvalues to zero and renormalizes the
     trace. Quadrature round trips return operators a few parts in 1e9 away
     from positive semidefinite; this is the canonical repair before
-    computing fidelities.
+    computing fidelities. The state holds the spectrum (p, V) of the one
+    ``eigh``; :func:`fidelity` against a caller-built state never reads ``op``.
     """
     sym = (a.entries + a.entries.conj().T) / 2
     w, v = np.linalg.eigh(sym)
-    w = np.clip(w, 0, None)
+    w = np.maximum(w, 0)
     total = w.sum()
     if total <= 0:
         raise ValueError("operator has no positive spectral weight")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,6 +130,8 @@ def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     return _slice_system(rep, grid)
 
 
+# one system: with n_phi 8, a tomo-run's thermal grid is the last grid of an ascending ladder
+@lru_cache(maxsize=1)
 def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     index_grid = grid.to_index_grid()
     theta = index_grid.nodes[:: grid.n_phi, 0]

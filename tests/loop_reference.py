@@ -21,10 +21,12 @@ every call, the frame bounds with one eigensolve call per frame operator
 block, and the frame block product as a BLAS-free ``einsum``. For the l^d
 frame bounds it keeps the ratios of seeded random operators and the analysis
 family's l^2 bounds from one dense SVD. Of ``opalg`` it keeps the fidelity
-through the d x d square root of either state and the PSD test of
-``DensityMatrix`` by its full spectrum. Of the grids and the CLI it keeps
-the slice-major grid built node by node as tuples of Python floats, and the
-``emit`` CSV rows formatted one value at a time. Of ``spin_moyal`` it keeps
+through the d x d square root of either state, the PSD test of
+``DensityMatrix`` by its full spectrum, and the repair that builds the
+state's matrix at once, with the fidelity read from its spectrum. Of the
+grids and the CLI it keeps the slice-major grid built node by node as
+tuples of Python floats, and the ``emit`` CSV rows formatted one value at a
+time. Of ``spin_moyal`` it keeps
 the dual coefficients as the defining sum over l, by the three-term
 recurrence of the discrete Chebyshev polynomials in exact rationals.
 """
@@ -414,6 +416,30 @@ def fidelity_sqrt_sigma(rho, sigma):
     """Uhlmann fidelity through sigma's d x d square root, with the rank cut of ``opalg``."""
     sqrt_sigma = _sqrt_state(sigma)
     inner = sqrt_sigma @ rho.op.entries @ sqrt_sigma
+    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    evals = evals[evals > rho.dim * np.finfo(float).eps * evals[-1]]
+    f = np.sqrt(np.clip(evals, 0, None)).sum() ** 2
+    return float(min(max(f, 0.0), 1.0))
+
+
+def eager_closest_density(a):
+    """The repair with sigma's matrix built at once: (sigma entries, p, V).
+
+    The matrix is the symmetrized V diag(p) V^dag of the clipped,
+    renormalized spectrum of (a + a^dag) / 2.
+    """
+    w, v = np.linalg.eigh((a.entries + a.entries.conj().T) / 2)
+    w = np.clip(w, 0, None)
+    p = w / w.sum()
+    m = np.asarray((v * p) @ v.conj().T, dtype=complex)
+    return (m + m.conj().T) / 2, p, v
+
+
+def fidelity_in_range(rho, p, v):
+    """Uhlmann fidelity in the range of sigma = V diag(p) V^dag, with the rank cut of ``opalg``."""
+    keep = p > 0
+    x = v[:, keep] * np.sqrt(p[keep])
+    inner = x.conj().T @ rho.op.entries @ x
     evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     evals = evals[evals > rho.dim * np.finfo(float).eps * evals[-1]]
     f = np.sqrt(np.clip(evals, 0, None)).sum() ** 2

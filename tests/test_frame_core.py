@@ -329,6 +329,12 @@ class TestCoorbitNorm:
         with pytest.raises(ValueError):
             coorbit_norm(SampleVector(np.array([1.0 + 0j]), grid.grid_id), grid, 0.5)
 
+    def test_rejects_nan_exponent(self):
+        # a NaN exponent fails every comparison; on a unit sample it read 1.0
+        grid = IndexGrid(((0.0,),), np.array([1.0]))
+        with pytest.raises(ValueError, match="norm exponent must be >= 1"):
+            coorbit_norm(SampleVector(np.array([1.0 + 0j]), grid.grid_id), grid, math.nan)
+
 
 # su11 systems whose charge classes pack into blocks of three or more sizes
 SEVERAL_BLOCK_SIZES = {

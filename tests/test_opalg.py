@@ -154,6 +154,17 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match=re.escape("min eigenvalue -1.000e-09")):
             DensityMatrix._from_spectrum(np.array([-1e-9, 0.3, 0.7 + 1e-9]), v)
 
+    @pytest.mark.parametrize("fault", ["trace", "nan-p", "nan-v"])
+    def test_bad_seed_rejected(self, fault):
+        p, v = np.array([0.3, 0.7]), random_unitary(np.random.default_rng(16), 2)
+        if fault == "trace":
+            p[1] += 2e-12
+        else:
+            (p if fault == "nan-p" else v)[0, ...] = np.nan
+        want = "trace .* differs from 1" if fault == "trace" else "operator entries must be finite"
+        with pytest.raises(ValueError, match=want):
+            DensityMatrix._from_spectrum(p, v)
+
     def test_symmetrizes_tiny_asymmetry(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] = 1e-13j
@@ -372,6 +383,41 @@ def test_stream_reconstruction_matches_sqrt_sigma_form(stream_system, state):
     want = loop_reference.fidelity_sqrt_sigma(rho, sigma)
     assert abs(fidelity(rho, sigma) - want) <= 1e-13
     assert abs(fidelity(sigma, rho) - want) <= 1e-13
+
+
+def _eager_cases(system):
+    """(rho, reconstruction) pairs: the stream system's three and random operators."""
+    for psi in (coherent_state(FockSpace(32), 0.5 + 0.3j), np.eye(32)[0], np.eye(32)[1]):
+        rho = DensityMatrix(Operator(np.outer(psi, psi.conj())))
+        yield rho, roundtrip(system, rho.op)[0]
+    rng = np.random.default_rng(17)
+    for d in (2, 5, 16, 32):
+        yield DensityMatrix(full_rank_state(rng, d)), Operator(random_matrix(rng, d))
+
+
+def test_repair_matches_eager_build(stream_system):
+    # sigma's matrix, built on first read, and the fidelity read from its
+    # spectrum are bit-equal to the repair that built the matrix at once
+    for rho, rec in _eager_cases(stream_system):
+        entries, p, v = loop_reference.eager_closest_density(rec)
+        sigma = closest_density(rec)
+        want = loop_reference.fidelity_in_range(rho, p, v)
+        assert fidelity(rho, sigma) == want and fidelity(sigma, rho) == want
+        assert sigma.op.entries.tobytes() == entries.tobytes()
+
+
+def test_scoring_builds_no_matrix(stream_system, monkeypatch):
+    # the scored path reads sigma's spectrum only; one read of op builds one Operator
+    psi = coherent_state(FockSpace(32), 0.5 + 0.3j)
+    rho = DensityMatrix(Operator(np.outer(psi, psi.conj())))
+    rec = roundtrip(stream_system, rho.op)[0]
+    built = []
+    init = Operator.__post_init__
+    monkeypatch.setattr(Operator, "__post_init__", lambda op: built.append(op) or init(op))
+    sigma = closest_density(rec)
+    assert fidelity(rho, sigma) >= 0.999 and sigma.dim == 32
+    assert built == [] and "op" not in vars(sigma)
+    assert sigma.op is sigma.op and len(built) == 1
 
 
 class TestClosestDensity:

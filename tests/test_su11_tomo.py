@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import loop_reference
-from coorbit import su11_tomo
+from coorbit import cli, su11_tomo
 from coorbit.opalg import DensityMatrix, Operator
 from coorbit.su11_tomo import (
     INTERIOR_MARGIN,
@@ -351,6 +352,18 @@ class TestThermal:
             thermal_probe(DiscreteSeriesRep(1.0, 4), 1.0)
         with pytest.raises(ValueError):
             thermal_probe(DiscreteSeriesRep(1.0, 4), 0.0)
+
+    def test_tomo_run_builds_one_system(self, tmp_path, monkeypatch):
+        # with n_phi 8 the thermal grid is the one-theta ladder's grid: one build serves both
+        config = tmp_path / "su11.json"
+        config.write_text(json.dumps({"system": "su11", "params": {
+            "k": 1.0, "cutoff": 10, "theta_max_ladder": [6.0], "n_theta": 40, "n_phi": 8}}))
+        calls = []
+        build = su11_tomo._slices
+        monkeypatch.setattr(su11_tomo, "_slices", lambda *a: calls.append(a) or build(*a))
+        su11_tomo._slice_system.cache_clear()
+        assert cli.main(["tomo-run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_admissibility_half(self):
         rep = DiscreteSeriesRep(1.0, 32)
