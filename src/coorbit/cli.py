@@ -213,7 +213,10 @@ def load_config(path: str, overrides: dict) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     doc = _typed({**doc, **{k: v for k, v in overrides.items() if v is not None}}, TOP, "config")
-    doc["tolerances"] = _typed(doc["tolerances"], TOLERANCES, "tolerances")
+    tol = doc["tolerances"] = _typed(doc["tolerances"], TOLERANCES, "tolerances")
+    for key, top in (("hs_error", math.inf), ("fidelity", 1.0)):
+        if tol[key] is not None and not 0 <= tol[key] <= top:
+            raise ConfigError(f"tolerances.{key} must lie in [0, {top:g}], got {tol[key]!r}")
     return doc
 
 
@@ -381,8 +384,8 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             doc = load_config(args.config, {"system": args.system, "seed": args.seed})
             if args.tolerance is not None:
-                if not _is(float, args.tolerance):
-                    raise ConfigError(f"--tolerance must be a finite number, got {args.tolerance}")
+                if not (_is(float, args.tolerance) and args.tolerance >= 0):
+                    raise ConfigError(f"--tolerance must be a finite number >= 0: {args.tolerance}")
                 doc["tolerances"]["hs_error"] = args.tolerance
             if args.command == "state-make":
                 return cmd_state_make(doc, args.out)

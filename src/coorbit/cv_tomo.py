@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, expand_family
+from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem
 from .frame_core import gauss_legendre, singular_admissibility, slice_major_grid, synthesize
 from .opalg import DensityMatrix, Operator
 
@@ -52,7 +52,7 @@ class PolarGrid:
     n_phi: int
 
     def __post_init__(self):
-        if self.R <= 0 or self.n_r < 1 or self.n_phi < 1:
+        if not 0 < self.R < math.inf or self.n_r < 1 or self.n_phi < 1:
             raise ValueError("polar grid needs R > 0 and positive node counts")
 
     @cached_property
@@ -128,7 +128,7 @@ def probe_vector_cv(f: FockSpace, Delta: float) -> Operator:
 
     <n|p0|n> = (Delta/(Delta+1))^(n+1), so Tr p0 = Delta (1 - (Delta/(Delta+1))^d).
     """
-    if Delta <= 0:
+    if not 0 < Delta < math.inf:
         raise ValueError("probe width must be positive")
     ratio = Delta / (Delta + 1)
     return Operator(np.diag(ratio ** (np.arange(f.d) + 1.0)).astype(complex))
@@ -242,7 +242,10 @@ def multimode_system(modes, grids) -> TomographicSystem:
     grid = IndexGrid(nodes, np.outer(s1.grid.weights, s2.grid.weights).ravel())
     # Node (i, j) is A1_i (x) A2_j: slice A1_i (x) S2_r for every mode-1 node
     # i and mode-2 slice r, with mode 2's charges on the second factor.
-    a1 = expand_family(s1.analysis_family, s1.phis)[:, None, :, None, :, None]
+    u = np.exp(1j * np.multiply.outer(s1.phis, s1.analysis_family.charges))
+    a1 = u[None, :, :, None] * s1.analysis_family.slices[:, None]
+    a1 *= u.conj()[None, :, None, :]
+    a1 = a1.reshape(-1, 1, s1.dim, 1, s1.dim, 1)
     d = s1.dim * s2.dim
     slices = (a1 * s2.analysis_family.slices[None, :, None, :, None, :]).reshape(-1, d, d)
     family = SliceFamily(slices, np.tile(s2.analysis_family.charges, s1.dim))

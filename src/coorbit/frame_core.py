@@ -16,32 +16,33 @@ trip needs no constant.
 
 A system caches what it reads on first use. :func:`analyze`,
 :func:`synthesize` and :func:`singular_admissibility` read one layout per
-family: the (a, b) entries in order of c_a - c_b, the conjugated slices in
-that order and e^{-i phi delta}; sampling is a gather, a product, a segmented
-sum and one small GEMM, and resummation its adjoint. :func:`roundtrip`,
-:func:`admissibility_constant` and :func:`frame_bounds` read the frame operator
-S = sum_k w_k vec(G_k) vec(F_k)^dag (analysis, then synthesis). Both families
-carry the same charge differences, and S couples two entries only where those
-agree mod n_phi. With n_phi = 1 there is no phi sum: the classes are keyed by
-(c_a - c_b) mod dim when every slice lies inside one of them (the Z_N lattice,
-whose U(q, p) holds a - b = q mod N), and form one class otherwise. These
-charge classes are the engine's only block structure. They are packed
-first-fit, largest first, down the diagonals of equal m x m blocks, each built
-from the phase-0 slices with factor n_phi w_s. The round trip is a gather, one
-batched block product and a scatter; admissibility is <l0p, S b0p>; l^2 frame
-bounds are the spectrum of (S + S^dag) / 2 on each block's occupied leading
-square, and the l^d bounds for d != 2 follow in closed form from that of the
-analysis family paired with itself. Slice-sized contractions stay off BLAS,
-except the frame block product: one batched ``matmul``. Instantiations supply
-grids, slices, charges; only the two-mode builder expands a family to one
-matrix per node (:func:`expand_family`).
+system: the (a, b) entries in order of c_a - c_b, the conjugated analysis
+slices in that order and e^{-i phi delta}, which serve the synthesis family
+too, since both carry the same charge differences. Sampling is a gather, a
+product, a segmented sum and one small GEMM, and resummation its adjoint.
+:func:`roundtrip`, :func:`admissibility_constant` and :func:`frame_bounds`
+read the frame operator S = sum_k w_k vec(G_k) vec(F_k)^dag (analysis, then
+synthesis); l^d bounds for d != 2 read the analysis family's own S_F (G = F),
+the same object on a self-dual system. S couples two entries only where their
+charge differences agree mod n_phi. With n_phi = 1 there is no phi sum: the
+classes are keyed by (c_a - c_b) mod dim when every slice lies inside one of
+them (the Z_N lattice, whose U(q, p) holds a - b = q mod N), and form one
+class otherwise. These charge classes are the engine's only block structure.
+They are packed first-fit, largest first, down the diagonals of equal m x m
+blocks, each built from the phase-0 slices with factor n_phi w_s. The round
+trip is a gather, one batched block product and a scatter; admissibility is
+<l0p, S b0p>; l^2 frame bounds are the spectrum of (S + S^dag) / 2 on each
+block's occupied leading square, and the l^d bounds for d != 2 follow in
+closed form from that of S_F. Slice-sized contractions stay off BLAS, except
+the frame block product: one batched ``matmul``. Instantiations supply grids,
+slices and charges.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -70,7 +71,7 @@ class IndexGrid:
         weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 2 or weights.ndim != 1 or len(nodes) != len(weights):
             raise ValueError("nodes must be (n, k) coordinates with a weight per node")
-        if not np.all(weights > 0):
+        if not np.all((weights > 0) & np.isfinite(weights)):
             raise ValueError("all grid weights must be positive")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -146,7 +147,7 @@ class RegularizerSpec:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not 0 < self.delta < math.inf:
             raise ValueError("regularizer width must be positive")
 
     def __call__(self, x):
@@ -169,9 +170,9 @@ class TomographicSystem:
     ``synthesis(node)`` are read-only views returning one node's Operator;
     the engine never calls them. ``vacuum`` (of dimension ``dim``) seeds the
     synthesis family, and the ``test_functional`` operator L0 realizes the
-    analysis functional through the trace pairing. Each family's layout and
-    the frame operator are cached on first use; a self-dual system (the same
-    family object) has one layout. Systems compare and hash by identity.
+    analysis functional through the trace pairing. One layout, the pair's frame
+    operator and the analysis family's own (the same object on a self-dual
+    system) are cached on first use. Systems compare and hash by identity.
     """
 
     grid: IndexGrid
@@ -211,17 +212,17 @@ class TomographicSystem:
         return phase_circle(len(self.grid) // len(self.analysis_family.slices))
 
     @cached_property
-    def _analysis_layout(self) -> _Layout:
+    def _layout(self) -> _Layout:
         return _layout(self.analysis_family, self.phis)
 
     @cached_property
-    def _synthesis_layout(self) -> _Layout:
-        same = self.synthesis_family is self.analysis_family
-        return self._analysis_layout if same else _layout(self.synthesis_family, self.phis)
+    def _frame(self) -> _FrameOperator:
+        return _frame_operator(self, self.synthesis_family)
 
     @cached_property
-    def _frame(self) -> _FrameOperator:
-        return _frame_operator(self)
+    def _analysis_frame(self) -> _FrameOperator:
+        same = self.synthesis_family is self.analysis_family
+        return self._frame if same else _frame_operator(self, self.analysis_family)
 
 
 def _node_view(nodes: np.ndarray, phis: np.ndarray, family: SliceFamily):
@@ -242,12 +243,12 @@ def _flat_differences(charges) -> np.ndarray:
 
 
 class _Layout(NamedTuple):
-    """A family's flat (a, b) entries grouped by charge difference c_a - c_b."""
+    """The flat (a, b) entries grouped by charge difference c_a - c_b, shared by both families."""
 
     order: np.ndarray  # stable order of the flat entries by charge difference
     starts: np.ndarray  # first position of each distinct difference in that order
     inverse: np.ndarray  # index of each flat entry's difference
-    conj_slices: np.ndarray  # (n_s, d * d) conjugated slices, in that order
+    conj_slices: np.ndarray  # (n_s, d * d) conjugated analysis slices, in that order
     phases: np.ndarray  # (n_delta, n_phi) e^{-i phi delta}
 
 
@@ -285,12 +286,11 @@ class _FrameOperator(NamedTuple):
     blocks: np.ndarray  # (n_block, m, m) S[index, index], zero between classes and in the padding
 
 
-def _frame_operator(sys: TomographicSystem) -> _FrameOperator:
-    """S from the phase-0 slices; the phi sum is n_phi where the classes agree, else 0."""
+def _frame_operator(sys: TomographicSystem, synthesis: SliceFamily) -> _FrameOperator:
+    """S of the analysis family against ``synthesis``; the phi sum is n_phi where classes agree."""
     n_phi, n = len(sys.phis), sys.dim**2
     w = n_phi * sys.grid.weights[::n_phi, None]
-    vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (sys.synthesis_family,
-                                                                sys.analysis_family))
+    vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (synthesis, sys.analysis_family))
     diffs = _flat_differences(sys.analysis_family.charges)
     key = diffs % n_phi
     if n_phi == 1:  # key mod dim only if each slice lies inside one class
@@ -323,15 +323,6 @@ def _apply_frame(sys: TomographicSystem, o: Operator) -> np.ndarray:
     return out[:n].reshape(sys.dim, sys.dim)
 
 
-def expand_family(family: SliceFamily, phis: np.ndarray) -> np.ndarray:
-    """Dense (n_s * len(phis), d, d) stack of the family in node order."""
-    n_s, d, _ = np.shape(family.slices)
-    u = np.exp(1j * np.multiply.outer(phis, family.charges))
-    dense = u[None, :, :, None] * family.slices[:, None]
-    dense *= u.conj()[None, :, None, :]
-    return dense.reshape(n_s * len(phis), d, d)
-
-
 class AdmissibilityResult(NamedTuple):
     constant: complex
     projection: complex
@@ -342,7 +333,7 @@ def analyze(sys: TomographicSystem, o: Operator) -> SampleVector:
 
     values[k] = Tr(o F_k^dag); linear in o.
     """
-    return SampleVector(_samples(sys._analysis_layout, o), sys.grid.grid_id)
+    return SampleVector(_samples(sys._layout, o), sys.grid.grid_id)
 
 
 def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
@@ -350,7 +341,7 @@ def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
     if s.grid_id != sys.grid.grid_id or len(s.values) != len(sys.grid):
         raise ValueError("sample vector is not aligned with the system grid")
     weighted = sys.grid.weights * s.values
-    return Operator(_resum(sys.synthesis_family, sys._synthesis_layout, weighted))
+    return Operator(_resum(sys.synthesis_family, sys._layout, weighted))
 
 
 def roundtrip(sys: TomographicSystem, o: Operator):
@@ -384,8 +375,8 @@ def singular_admissibility(sys: TomographicSystem, probe: Operator) -> complex:
     C(b0, p0) = < sum_k w_k <F_k, probe> F_k, L0 > over the analysis family F,
     the system's stored image of the group orbit through the vacuum.
     """
-    p = _samples(sys._analysis_layout, probe)
-    l0 = _samples(sys._analysis_layout, sys.test_functional)
+    p = _samples(sys._layout, probe)
+    l0 = _samples(sys._layout, sys.test_functional)
     total = complex(np.sum(sys.grid.weights * p * l0.conj()))
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise ValueError("singular admissibility quadrature diverged")
@@ -419,9 +410,7 @@ def frame_bounds(sys: TomographicSystem, d: float = 2) -> FrameReport:
     """
     if not d >= 1:
         raise ValueError("norm exponent must be >= 1")
-    if d != 2 and sys.synthesis_family is not sys.analysis_family:
-        sys = replace(sys, synthesis_family=sys.analysis_family)
-    frame = sys._frame
+    frame = sys._frame if d == 2 else sys._analysis_frame
     sizes = np.count_nonzero(frame.index < sys.dim**2, 1)
     squares = (frame.blocks[sizes == k, :k, :k] for k in np.unique(sizes))
     evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2).ravel()

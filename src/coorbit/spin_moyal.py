@@ -109,11 +109,17 @@ def rotation_operator(p: SpinParams, theta: float, phi: float) -> Operator:
     return Operator(_rotations(p, [theta], phi)[0])
 
 
+def _kernels(p: SpinParams, thetas, phi: float = 0.0) -> tuple:
+    """Stacks of the dual kernels and coherent projectors at (theta, phi), one per theta."""
+    u = _rotations(p, thetas, phi)
+    dual = (u * np.array(dual_coefficients(p.two_s))) @ u.conj().transpose(0, 2, 1)
+    top = u[:, :, 0]
+    return dual, top[:, :, None] * top.conj()[:, None, :]
+
+
 def kernel_direct(p: SpinParams, theta: float, phi: float) -> Operator:
-    """Spin-coherent projector |s, n><s, n| at direction n = (theta, phi)."""
-    u = rotation_operator(p, theta, phi).entries
-    top = u[:, 0]
-    return Operator(np.outer(top, top.conj()))
+    """Coherent projector |s, n><s, n| at n = (theta, phi); one node of moyal_system's kernels."""
+    return Operator(_kernels(p, [theta], phi)[1][0])
 
 
 def dual_coefficients(two_s: int) -> tuple:
@@ -135,10 +141,8 @@ def dual_coefficients(two_s: int) -> tuple:
 
 
 def kernel_dual(p: SpinParams, theta: float, phi: float) -> Operator:
-    """Dual kernel Delta^n: diagonal in the rotated basis."""
-    u = rotation_operator(p, theta, phi).entries
-    diag = np.array(dual_coefficients(p.two_s))
-    return Operator((u * diag) @ u.conj().T)
+    """Dual kernel Delta^n, diagonal in the rotated basis; one node of moyal_system's kernels."""
+    return Operator(_kernels(p, [theta], phi)[0][0])
 
 
 def tracial_overlap(p: SpinParams, theta: float) -> float:
@@ -162,12 +166,9 @@ def moyal_system(
         )
     # Rotating about z by phi conjugates both kernels by diag(e^{-i phi m}).
     charges = np.arange(p.dim) - p.s  # -m in the m = s..-s ordering
-    # the phi = 0 rotations of kernel_dual and kernel_direct, one eigh for all theta;
-    # the last, at theta = 0, gives the vacuum and the test functional
-    u = _rotations(p, np.append(grid.theta_nodes, 0.0))
-    dual = (u * np.array(dual_coefficients(p.two_s))) @ u.conj().transpose(0, 2, 1)
-    top = u[:, :, 0]
-    direct = top[:, :, None] * top.conj()[:, None, :]
+    # both kernels at phi = 0, one eigh for all theta; the last, at theta = 0,
+    # gives the vacuum and the test functional
+    dual, direct = _kernels(p, np.append(grid.theta_nodes, 0.0))
     return TomographicSystem(
         grid=grid.to_index_grid(p),
         analysis_family=SliceFamily(dual[:-1], charges),

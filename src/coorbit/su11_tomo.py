@@ -49,7 +49,7 @@ class DiscreteSeriesRep:
     cutoff: int
 
     def __post_init__(self):
-        if self.k <= 0:
+        if not 0 < self.k < math.inf:
             raise ValueError("Bargmann index must be positive")
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
@@ -113,7 +113,7 @@ class SUGrid:
     n_phi: int
 
     def __post_init__(self):
-        if self.theta_max <= 0 or self.n_theta < 1 or self.n_phi < 1:
+        if not 0 < self.theta_max < math.inf or self.n_theta < 1 or self.n_phi < 1:
             raise ValueError("need theta_max > 0 and positive node counts")
 
     def to_index_grid(self) -> IndexGrid:

@@ -59,7 +59,8 @@ class MarginalGrid:
     regularizer: RegularizerSpec
 
     def __post_init__(self):
-        if self.X_max <= 0 or self.L <= 0 or self.n_X < 2 or self.n_mn < 2:
+        extents = 0 < self.X_max < math.inf and 0 < self.L < math.inf
+        if not extents or self.n_X < 2 or self.n_mn < 2:
             raise ValueError("grid extents and node counts must be positive")
 
     @property
@@ -95,6 +96,8 @@ def _diagonal_sums(rho: DensityMatrix, y: np.ndarray) -> np.ndarray:
 
 def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> np.ndarray:
     """Probability density of mu q + nu p at the given X nodes."""
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise ValueError(f"(mu, nu) = ({mu}, {nu}) must be finite")
     s = math.hypot(mu, nu)
     if s < 1e-14:
         raise ValueError("(mu, nu) = (0, 0) is a degenerate direction")

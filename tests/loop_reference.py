@@ -333,14 +333,14 @@ def resum(family, phis, c):
 
 
 def roundtrip(sys, o):
-    """synthesize(analyze(o)) through the per-family layouts: every node sampled, then resummed."""
+    """synthesize(analyze(o)) through the system's layout: every node sampled, then resummed."""
     return frame_core.synthesize(sys, frame_core.analyze(sys, o)).entries
 
 
 def admissibility_constant(sys, b0p, l0p):
-    """sum_k w_k <F_k, b0p> <l0p, G_k> from the samples of both families at every node."""
-    a = frame_core._samples(sys._analysis_layout, b0p)
-    g = frame_core._samples(sys._synthesis_layout, l0p)
+    """sum_k w_k <F_k, b0p> <l0p, G_k> from both families sampled at every node, per call."""
+    a = samples(sys.analysis_family, sys.phis, b0p)
+    g = samples(sys.synthesis_family, sys.phis, l0p)
     return complex(np.sum(sys.grid.weights * a * g.conj()))
 
 
@@ -385,7 +385,10 @@ def analysis_singular_values(sys):
     These are the l^2 frame bounds of the analysis family; the smallest is 0
     when there are fewer nodes than dim^2 entries.
     """
-    dense = frame_core.expand_family(sys.analysis_family, sys.phis).reshape(len(sys.grid), -1)
+    fam = sys.analysis_family  # one matrix per node, U_phi F_s U_phi^dag
+    u = np.exp(1j * np.multiply.outer(sys.phis, fam.charges))
+    dense = (u[None, :, :, None] * fam.slices[:, None] * u.conj()[None, :, None, :])
+    dense = dense.reshape(len(sys.grid), -1)
     sv = np.linalg.svd(np.sqrt(sys.grid.weights)[:, None] * dense.conj(), compute_uv=False)
     return (float(sv.min()) if len(sys.grid) >= sys.dim**2 else 0.0), float(sv.max())
 

@@ -208,6 +208,22 @@ class TestTomoRun:
         assert err.count("\n") == 1 and "--tolerance must be a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tolerances, flag, key", [
+        ({"hs_error": -1.0}, [], "tolerances.hs_error"),
+        ({"fidelity": 1.5}, [], "tolerances.fidelity"),
+        ({"fidelity": -0.5}, [], "tolerances.fidelity"),
+        ({}, ["--tolerance", "-1"], "--tolerance"),
+    ])
+    def test_out_of_range_tolerance_is_config_error(self, tmp_path, capsys, tolerances, flag, key):
+        # hs_error < 0 and fidelity > 1 fail every run, and fidelity < 0 checks nothing
+        path = write_config(tmp_path, {"system": "dps", "params": {"N": 3},
+                                       "tolerances": tolerances})
+        out = tmp_path / "o"
+        assert main(["tomo-run", "--config", path, "--out", str(out), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {key} must")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command",
                              [["state-make"], ["tomo-run"], ["emit", "--kind", "wigner"]])
     def test_unwritable_out_exit_1(self, tmp_path, capsys, command):

@@ -3,10 +3,11 @@
 Each case pairs a system with per-node callables built from the closed-form
 operators (not from the slices), so the check covers the charges and the
 node order as well as the contractions. Agreement is required to 1e-13
-relative to the largest |value| or entry of the reference. The cached
-charge-difference layout is also checked against the per-call regrouping
-of ``loop_reference`` on both families of every case, and the cached frame
-operator behind ``roundtrip``, ``admissibility_constant`` and
+relative to the largest |value| or entry of the reference. The system's one
+cached charge-difference layout is also checked against the per-call
+regrouping of ``loop_reference`` on both families of every case, the cached
+analysis frame operator S_F against the self-paired system's, and the cached
+frame operator behind ``roundtrip``, ``admissibility_constant`` and
 ``frame_bounds`` against the sample path and the dense masked Gram kept
 there, together with the way its charge classes are keyed and packed into
 blocks; its batched block product is checked against the ``einsum`` kept there.
@@ -198,11 +199,10 @@ def test_layout_matches_per_call_regrouping(name):
     rng = np.random.default_rng(4)
     o = _random_operator(rng, sys.dim)
     c = rng.normal(size=len(sys.grid)) + 1j * rng.normal(size=len(sys.grid))
-    for family, layout in ((sys.analysis_family, sys._analysis_layout),
-                           (sys.synthesis_family, sys._synthesis_layout)):
-        assert _close(frame_core._samples(layout, o),
-                      loop_reference.samples(family, sys.phis, o))
-        assert _close(frame_core._resum(family, layout, c),
+    assert _close(frame_core._samples(sys._layout, o),
+                  loop_reference.samples(sys.analysis_family, sys.phis, o))
+    for family in (sys.analysis_family, sys.synthesis_family):
+        assert _close(frame_core._resum(family, sys._layout, c),
                       loop_reference.resum(family, sys.phis, c))
 
 
@@ -238,8 +238,8 @@ def test_admissibility_matches_sample_path(name):
     for b0p, l0p in ((sys.vacuum, sys.test_functional),
                      (_random_operator(rng, sys.dim), _random_operator(rng, sys.dim))):
         want = loop_reference.admissibility_constant(sys, b0p, l0p)
-        a = frame_core._samples(sys._analysis_layout, b0p)
-        g = frame_core._samples(sys._synthesis_layout, l0p)
+        a = loop_reference.samples(sys.analysis_family, sys.phis, b0p)
+        g = loop_reference.samples(sys.synthesis_family, sys.phis, l0p)
         scale = np.sum(sys.grid.weights * np.abs(a * g))
         assert abs(admissibility_constant(sys, b0p, l0p).constant - want) <= TOL * scale
 
@@ -259,6 +259,20 @@ def test_mixed_gram_matches_dense_product(name):
     scale = np.abs(evals).max()
     assert abs(report.gram_spectrum_min - evals[0]) <= TOL * scale
     assert abs(report.gram_spectrum_max - evals[-1]) <= TOL * scale
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_analysis_frame_equals_self_pair_frame(name):
+    # S_F, cached on the system, is bit for bit the frame operator of the
+    # system rebuilt with the analysis family on both sides, and so are the
+    # l^d bounds read from it
+    sys = LAYOUT_CASES[name]()
+    pair = dataclasses.replace(sys, synthesis_family=sys.analysis_family)
+    got, want = sys._analysis_frame, frame_core._frame_operator(pair, pair.synthesis_family)
+    assert np.array_equal(got.index, want.index)
+    assert np.array_equal(got.blocks, want.blocks)
+    for d in (1, 1.5, 3, math.inf):
+        assert frame_bounds(sys, d) == frame_bounds(pair, d)
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))

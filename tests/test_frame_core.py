@@ -24,6 +24,7 @@ from coorbit.frame_core import (
 from coorbit.opalg import DensityMatrix, Operator, hs_inner
 from coorbit.spin_moyal import SpinParams, kernel_direct, moyal_system, sphere_grid
 from coorbit.su11_tomo import DiscreteSeriesRep, SUGrid, su11_system
+from coorbit.symplectic_tomo import MarginalGrid, marginal
 from test_engine_oracle import GATE_SYSTEMS
 
 
@@ -234,11 +235,23 @@ class TestLayout:
         calls = []
         build = frame_core._frame_operator
 
-        def counted(sys):
-            calls.append(sys)
-            return build(sys)
+        def counted(sys, synthesis):
+            calls.append((sys, synthesis))
+            return build(sys, synthesis)
 
         monkeypatch.setattr(frame_core, "_frame_operator", counted)
+        return calls
+
+    @pytest.fixture
+    def system_inits(self, monkeypatch):
+        calls = []
+        init = frame_core.TomographicSystem.__post_init__
+
+        def counted(sys):
+            calls.append(sys)
+            init(sys)
+
+        monkeypatch.setattr(frame_core.TomographicSystem, "__post_init__", counted)
         return calls
 
     def test_self_dual_system_builds_one_layout(self, layout_calls):
@@ -250,6 +263,15 @@ class TestLayout:
         admissibility_constant(sys, sys.vacuum, sys.test_functional)
         assert layout_calls == [sys.analysis_family]
 
+    def test_dual_pair_builds_one_layout(self, layout_calls):
+        # the synthesis family resums through the analysis family's grouping and phases
+        p = SpinParams(4)
+        sys = moyal_system(p, sphere_grid(p))
+        rho = random_state(np.random.default_rng(10), sys.dim)
+        synthesize(sys, analyze(sys, rho))
+        synthesize(sys, analyze(sys, rho))
+        assert layout_calls == [sys.analysis_family]
+
     def test_dual_pair_builds_one_frame_operator(self, layout_calls, frame_calls):
         # roundtrip, admissibility_constant and frame_bounds read the cached S only
         p = SpinParams(4)
@@ -259,8 +281,24 @@ class TestLayout:
         roundtrip(sys, rho)
         admissibility_constant(sys, sys.vacuum, sys.test_functional)
         frame_bounds(sys)
-        assert frame_calls == [sys]
+        assert frame_calls == [(sys, sys.synthesis_family)]
         assert layout_calls == []
+
+    def test_dual_pair_lp_bounds_build_analysis_frame_once(self, frame_calls, system_inits):
+        # l^d bounds for d != 2 read the cached S_F of the system itself, not a rebuilt self-pair
+        p = SpinParams(4)
+        sys = moyal_system(p, sphere_grid(p))
+        system_inits.clear()
+        assert frame_bounds(sys, 3) == frame_bounds(sys, 3)
+        assert frame_calls == [(sys, sys.analysis_family)]
+        assert system_inits == []
+
+    def test_self_dual_system_has_one_frame_operator(self, frame_calls):
+        sys = homodyne_system(FockSpace(6), PolarGrid(3.0, 8, 12))
+        frame_bounds(sys)
+        frame_bounds(sys, 3)
+        assert sys._analysis_frame is sys._frame
+        assert frame_calls == [(sys, sys.analysis_family)]
 
     def test_two_mode_roundtrip_builds_no_layout(self, layout_calls, frame_calls):
         # a layout would hold a conjugated copy of the n1 * n_r2 expanded slices
@@ -268,7 +306,7 @@ class TestLayout:
         rho = random_state(np.random.default_rng(9), sys.dim)
         _, err = roundtrip(sys, rho)
         assert err < 1e-3
-        assert frame_calls == [sys]
+        assert frame_calls == [(sys, sys.synthesis_family)]
         assert layout_calls == []
 
 
@@ -469,3 +507,33 @@ class TestRegularizer:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             RegularizerSpec(-1.0)
+
+
+VACUUM = DensityMatrix(Operator(np.diag([1.0, 0.0, 0.0])))
+POSITIVE_PARAMETERS = {
+    "PolarGrid.R": (lambda x: PolarGrid(x, 4, 4), "polar grid needs R > 0"),
+    "SUGrid.theta_max": (lambda x: SUGrid(x, 4, 4), "need theta_max > 0"),
+    "DiscreteSeriesRep.k": (lambda x: DiscreteSeriesRep(x, 6), "Bargmann index must be positive"),
+    "probe_vector_cv": (lambda x: cv_tomo.probe_vector_cv(FockSpace(4), x),
+                        "probe width must be positive"),
+    "MarginalGrid.X_max": (lambda x: MarginalGrid(x, 9, 8.0, 6, RegularizerSpec(2.0)),
+                           "grid extents"),
+    "MarginalGrid.L": (lambda x: MarginalGrid(6.5, 9, x, 6, RegularizerSpec(2.0)), "grid extents"),
+    "RegularizerSpec": (RegularizerSpec, "regularizer width must be positive"),
+    "marginal.mu": (lambda x: marginal(VACUUM, x, 0.0, np.zeros(3)), "must be finite"),
+    "marginal.nu": (lambda x: marginal(VACUUM, 1.0, x, np.zeros(3)), "must be finite"),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(POSITIVE_PARAMETERS))
+def test_non_finite_parameter_rejected(name, x):
+    # x <= 0 is false for NaN and +inf; each check names its own parameter
+    build, message = POSITIVE_PARAMETERS[name]
+    with pytest.raises(ValueError, match=message):
+        build(x)
+
+
+def test_infinite_grid_weight_rejected():
+    with pytest.raises(ValueError, match="all grid weights must be positive"):
+        IndexGrid(((0.0,), (1.0,)), np.array([1.0, math.inf]))
