@@ -13,7 +13,8 @@ the commands read only the typed values it returns. An arithmetic failure
 error that names the number keys of the section being computed and their
 values.
 
-Exit codes: 0 success, 1 usage or config error, 2 tolerance failure.
+Exit codes: 0 success, 1 usage or config error (a config too large for
+memory included), 2 tolerance failure.
 All floating-point output is printed with 17 significant digits, and node
 orders and reduction orders are fixed, so identical configs yield
 byte-identical outputs.
@@ -327,36 +328,50 @@ def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
         raise ConfigError(f"emit kind {kind!r} is not supported for system {name!r}")
     params = _params(doc, "emit")
     with _blame(params, "params"):
-        header, fmt, columns = _emit_columns(doc, kind, params)
-    rows = (fmt % tuple(row) for row in np.column_stack(columns).tolist())  # %.17g as in _fmt
+        header, columns = _emit_columns(doc, kind, params)
+    rows = map(",".join, zip(*map(_cells, columns)))
     return _write(out_path, "\n".join([header, *rows]))
 
 
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The CSV text of each value (%d for ints, _fmt for floats), made once per distinct value.
+
+    Floats are keyed on their bit pattern, so -0.0 and 0.0 keep their own text.
+    """
+    if column.dtype.kind == "f":
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        text = [_fmt(x) for x in bits.view(float).tolist()]
+    else:
+        values, inverse = np.unique(column, return_inverse=True)
+        text = [str(x) for x in values.tolist()]
+    return np.array(text, dtype=object)[inverse]
+
+
 def _emit_columns(doc: dict, kind: str, params: dict):
-    """The CSV header, the %-format of one row and the columns it formats."""
+    """The CSV header and its columns, one array each."""
     if kind == "wigner":
         N = params["N"]
         w = discrete_ps.discrete_wigner(_state(doc, kind="fock", n=0, d=N), N)
-        return "q,p,W", "%d,%d,%.17g", (*np.divmod(np.arange(w.size), 2 * N), w.ravel())
+        return "q,p,W", (*np.divmod(np.arange(w.size), 2 * N), w.ravel())
     if kind == "qfunc":
         rho = _state(doc, kind="fock", n=0, d=params["d"])
         r, ph = _polar_grid(params).to_index_grid().nodes.T
         alphas = r * np.exp(1j * ph)
         q = cv_tomo.qfunctions(rho, alphas)
         header = "alpha_re,alpha_im,value_re,value_im"
-        return header, "%.17g,%.17g,%.17g,0", (alphas.real, alphas.imag, q)
+        return header, (alphas.real, alphas.imag, q, np.zeros(len(q)))
     if kind == "marginal":
         rho = _state(doc, kind="fock", n=0, d=params["d"])
         mu, nu = params["mu"], params["nu"]
         x_nodes = np.linspace(-4, 4, params["n_X"])
         w = symplectic_tomo.marginal(rho, mu, nu, x_nodes)
-        return "X,mu,nu,w", f"%.17g,{_fmt(mu)},{_fmt(nu)},%.17g", (x_nodes, w)
+        return "X,mu,nu,w", (x_nodes, np.full(len(w), mu), np.full(len(w), nu), w)
     p, grid = _spin_grid(params)  # symbols
     rho = _state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
     sys_obj = spin_moyal.moyal_system(p, grid, allow_underresolved=True)
     values = analyze(sys_obj, rho.op).values
     columns = (*sys_obj.grid.nodes.T, sys_obj.grid.weights, values.real, values.imag)
-    return "theta,phi,weight,symbol_re,symbol_im", ",".join(["%.17g"] * 5), columns
+    return "theta,phi,weight,symbol_re,symbol_im", columns
 
 
 @functools.cache
@@ -399,6 +414,10 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        reason = str(exc) or "allocation failed"
+        print(f"config error: too large for memory: {reason}", file=_sys.stderr)
         return 1
 
 

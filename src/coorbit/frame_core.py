@@ -28,14 +28,16 @@ charge differences agree mod n_phi. With n_phi = 1 there is no phi sum: the
 classes are keyed by (c_a - c_b) mod dim when every slice lies inside one of
 them (the Z_N lattice, whose U(q, p) holds a - b = q mod N), and form one
 class otherwise. These charge classes are the engine's only block structure.
-They are packed first-fit, largest first, down the diagonals of equal m x m
-blocks, each built from the phase-0 slices with factor n_phi w_s. The round
+They are found by one stable sort and packed first-fit, largest first, down
+the diagonals of equal m x m blocks. All blocks are built from the phase-0
+slices with factor n_phi w_s by one batched product, over every slice or,
+on the keyed lattice, over each block's own slices. The round
 trip is a gather, one batched block product and a scatter; admissibility is
 <l0p, S b0p>; l^2 frame bounds are the spectrum of (S + S^dag) / 2 on each
 block's occupied leading square, and the l^d bounds for d != 2 follow in
 closed form from that of S_F. Slice-sized contractions stay off BLAS, except
-the frame block product: one batched ``matmul``. Instantiations supply grids,
-slices and charges.
+the frame operator's: its blocks are built, and applied, by one batched
+``matmul`` each. Instantiations supply grids, slices and charges.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import numpy as np
 from .opalg import Operator, hs_inner
 
 _ZERO = np.zeros(1, dtype=complex)  # _apply_frame's padding entry, read at flat index dim^2
+FRAME_CHUNK = 1 << 12  # gathered entries per family in one step of the frame block product
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,22 +186,15 @@ class TomographicSystem:
 
     def __post_init__(self):
         n_s = len(self.analysis_family.slices)
-        rest = len(self.grid) % n_s if n_s else 1
-        diffs = []
+        shape, rest = (n_s, self.dim, self.dim), len(self.grid) % n_s if n_s else 1
+        diffs = _checked_differences("analysis", self.analysis_family, shape, rest)
+        same = self.synthesis_family is self.analysis_family  # one object is checked once
+        if not (same or np.array_equal(diffs, _checked_differences(
+                "synthesis", self.synthesis_family, shape, rest))):
+            raise ValueError("analysis and synthesis families need the same charge differences")
         for name in ("analysis", "synthesis"):
             family = getattr(self, f"{name}_family")
-            shape = (n_s, self.dim, self.dim)
-            if rest or np.shape(family.slices) != shape or np.shape(family.charges) != shape[1:2]:
-                raise ValueError(f"{name} family needs n_s >= 1 dividing len(grid), {shape} "
-                                 f"slices and {self.dim} charges")
-            if not (np.all(np.isfinite(family.slices)) and np.all(np.isfinite(family.charges))):
-                raise ValueError(f"{name} family must be finite")
-            diffs.append(_flat_differences(family.charges))
-            if not np.array_equal(diffs[-1], np.round(diffs[-1])):
-                raise ValueError(f"{name} family needs integer charge differences")
             object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family))
-        if not np.array_equal(*diffs):
-            raise ValueError("analysis and synthesis families need the same charge differences")
         w = self.grid.weights.reshape(-1, len(self.phis))
         if not np.all(w == w[:, :1]):
             raise ValueError("grid weights must not depend on phi")
@@ -223,6 +219,19 @@ class TomographicSystem:
     def _analysis_frame(self) -> _FrameOperator:
         same = self.synthesis_family is self.analysis_family
         return self._frame if same else _frame_operator(self, self.analysis_family)
+
+
+def _checked_differences(name: str, family: SliceFamily, shape: tuple, rest: int) -> np.ndarray:
+    """The family's flat charge differences, after its shape, finiteness and integer checks."""
+    if rest or np.shape(family.slices) != shape or np.shape(family.charges) != shape[1:2]:
+        raise ValueError(f"{name} family needs n_s >= 1 dividing len(grid), {shape} "
+                         f"slices and {shape[1]} charges")
+    if not (np.all(np.isfinite(family.slices)) and np.all(np.isfinite(family.charges))):
+        raise ValueError(f"{name} family must be finite")
+    diffs = _flat_differences(family.charges)
+    if not np.array_equal(diffs, np.round(diffs)):
+        raise ValueError(f"{name} family needs integer charge differences")
+    return diffs
 
 
 def _node_view(nodes: np.ndarray, phis: np.ndarray, family: SliceFamily):
@@ -287,28 +296,62 @@ class _FrameOperator(NamedTuple):
 
 
 def _frame_operator(sys: TomographicSystem, synthesis: SliceFamily) -> _FrameOperator:
-    """S of the analysis family against ``synthesis``; the phi sum is n_phi where classes agree."""
-    n_phi, n = len(sys.phis), sys.dim**2
-    w = n_phi * sys.grid.weights[::n_phi, None]
-    vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (synthesis, sys.analysis_family))
-    diffs = _flat_differences(sys.analysis_family.charges)
-    key = diffs % n_phi
+    """S of the analysis family against ``synthesis``; the phi sum is n_phi where classes agree.
+
+    The classes are the runs of one stable sort of the key. Each block is the
+    product G^T conj(F) of its entries' columns over its slices, all blocks
+    in one batched ``matmul`` per FRAME_CHUNK gathered entries, with the
+    entries between two classes of a block and the padding set to zero. A
+    block's slices are all n_s, or, when every slice lies inside one class
+    (the keyed n_phi = 1 case), only the slices of its own classes.
+    """
+    n_phi, n, n_s = len(sys.phis), sys.dim**2, len(sys.analysis_family.slices)
+    w = n_phi * sys.grid.weights[::n_phi]
+    vg, vf = (np.reshape(fam.slices, (n_s, n)) for fam in (synthesis, sys.analysis_family))
+    diffs = _flat_differences(sys.analysis_family.charges).astype(int)  # integers, checked
+    key, own = diffs % n_phi, None
     if n_phi == 1:  # key mod dim only if each slice lies inside one class
         key, held = diffs % sys.dim, (vg != 0) | (vf != 0)
-        if np.any(held & (key != key[held.argmax(axis=1), None])):
-            key = np.zeros(n)
-    classes = [np.flatnonzero(key == k) for k in sorted(set(key.tolist()))]
-    classes.sort(key=len, reverse=True)
-    m, fill, places = len(classes[0]), [0] * len(classes), []  # first-fit, largest first
-    for c in classes:
-        i = next(i for i, a in enumerate(fill) if a + len(c) <= m)
-        places.append((i, slice(fill[i], fill[i] + len(c))))
-        fill[i] += len(c)
-    index = np.full((len(fill) - fill.count(0), m), n)
-    blocks = np.zeros(index.shape + (m,), dtype=complex)
-    for c, (i, a) in zip(classes, places):
-        index[i, a] = c
-        blocks[i, a, a] = np.einsum("si,sj->ij", vg[:, c] * w, vf[:, c].conj())
+        own = key[held.argmax(axis=1)]  # the class key of each slice
+        if np.any(held & (key != own[:, None])):
+            key, own = np.zeros_like(key), None
+    order, counts = np.argsort(key, kind="stable"), np.bincount(key)
+    keys = np.flatnonzero(counts)
+    sizes = counts[keys]
+    starts, size = np.cumsum(sizes) - sizes, sizes.tolist()
+    m, fill, place = max(size), [0] * len(size), [0] * len(size)
+    for c in sorted(range(len(size)), key=size.__getitem__, reverse=True):  # first-fit
+        room = m - size[c]
+        for i, a in enumerate(fill):
+            if a <= room:
+                break
+        place[c], fill[i] = i * m + a, a + size[c]
+    n_block = len(fill) - fill.count(0)
+    at = np.repeat(np.subtract(place, starts), sizes) + np.arange(n)  # slot of each sorted entry
+    index, label = np.full(n_block * m, n), np.full(n_block * m, -1)  # label: class, -1 padding
+    index[at], label[at] = order, np.repeat(np.arange(len(size)), sizes)
+    index, label = index.reshape(n_block, m), label.reshape(n_block, m)
+    if own is None:
+        rows, w = None, np.broadcast_to(w[:, None], (n_block, n_s, 1))
+    else:  # each block's own slices, padded with a weightless repeat of the last
+        by = np.floor_divide(place, m)[np.searchsorted(keys, own)]
+        s = np.argsort(by, kind="stable")
+        rows = np.full((n_block, np.bincount(by).max()), n_s)
+        rows[by[s], np.arange(n_s) - np.searchsorted(by[s], by[s])] = s
+        rows, w = np.minimum(rows, n_s - 1)[..., None], np.append(w, 0.0)[rows, None]
+    cols = np.minimum(index, n - 1)
+    blocks = np.empty((n_block, m, m), dtype=complex)
+    step = max(1, FRAME_CHUNK // (w.shape[1] * m))
+    for i in range(0, n_block, step):
+        part = slice(i, i + step)
+        if rows is None:  # every slice: one gather along the entries
+            g, f = (v[:, cols[part]].swapaxes(0, 1) for v in (vg, vf))
+        else:
+            g, f = (v[rows[part], cols[part, None]] for v in (vg, vf))
+        g *= w[part]
+        np.matmul(g.swapaxes(1, 2), np.conj(f, out=f), out=blocks[part])
+        del g, f  # before the next chunk is gathered
+    blocks *= (label[:, :, None] == label[:, None, :]) & (label >= 0)[:, None]
     return _FrameOperator(index, blocks)
 
 
@@ -346,7 +389,7 @@ def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
 
 def roundtrip(sys: TomographicSystem, o: Operator):
     """synthesize(analyze(o)), read from the frame operator, and its Hilbert-Schmidt error."""
-    rec = Operator(_apply_frame(sys, o))
+    rec = Operator._adopt(_apply_frame(sys, o))
     return rec, float(np.linalg.norm(rec.entries - o.entries))
 
 

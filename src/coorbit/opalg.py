@@ -48,6 +48,15 @@ class Operator:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "Operator":
+        """An Operator over a fresh array that its maker no longer writes: checked, not copied."""
+        arr = _as_square_complex(entries)
+        arr.setflags(write=False)
+        op = cls.__new__(cls)
+        object.__setattr__(op, "entries", arr)
+        return op
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

@@ -84,7 +84,9 @@ def _slices(rep: DiscreteSeriesRep, theta):
     m = np.arange(d)
     lower, t = np.maximum(np.subtract.outer(m, m), 0), np.tanh(theta)
     mid = np.cosh(theta) ** (-2 * (m + rep.k))
-    e = ((-t) ** lower * exp_kp * mid) @ np.swapaxes(t**lower * exp_kp, 1, 2)
+    # d powers per node, gathered by a - b: the same doubles as t ** lower
+    neg, pos = ((-t) ** m)[:, 0][:, lower], (t**m)[:, 0][:, lower]
+    e = (neg * exp_kp * mid) @ np.swapaxes(pos * exp_kp, 1, 2)
     b = (m[:, None] + m + 2 * rep.k) * ((-1.0) ** m)[:, None] * e
     return e, b, np.cosh(theta) * np.diag(m + rep.k) + 0.5j * np.sinh(theta) * (kp.T - kp)
 

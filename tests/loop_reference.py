@@ -9,7 +9,8 @@ the lattice Wigner function and point reconstruction through 2N x 2N point
 operators, each point operator as a Fourier sum over displacements, the
 lattice displacements as products of the shift, clock and parity matrices,
 the SU(1,1) group element through truncated power series of the ladder
-operators, the ordered displacements and displaced parity of ``cv_tomo``
+operators, the batched SU(1,1) slices with every power of tanh taken entry
+by entry, the ordered displacements and displaced parity of ``cv_tomo``
 as products of padded matrices cropped to d (and in closed form, a BCH
 scalar times ``displacement_cv``), and the marginal/Wigner
 line integrals one Wigner point at a time. It also keeps the scipy paths
@@ -17,8 +18,9 @@ that the package replaced with numpy: the Laguerre displacement from
 ``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
 engine's sampling and resummation as they were before each system cached
 its charge-difference layout: grouped, conjugated and exponentiated anew on
-every call, the frame bounds with one eigensolve call per frame operator
-block, and the frame block product as a BLAS-free ``einsum``. For the l^d
+every call, the frame operator built one charge class at a time, each with
+a BLAS-free ``einsum``, the frame bounds with one eigensolve call per frame
+operator block, and the frame block product as a BLAS-free ``einsum``. For the l^d
 frame bounds it keeps the ratios of seeded random operators and the analysis
 family's l^2 bounds from one dense SVD. Of ``opalg`` it keeps the fidelity
 through the d x d square root of either state, the PSD test of
@@ -168,6 +170,22 @@ def group_element(rep, theta, phi):
 
     mid = np.diag((1 - abs(zeta) ** 2) ** (np.arange(d) + rep.k)).astype(complex)
     return tri_exp(zeta * kp) @ mid @ tri_exp(-np.conj(zeta) * kp.T)
+
+
+def su11_slices(rep, theta):
+    """E, B and pi of ``su11_tomo._slices``, with (-t)^(a - b) and t^(a - b) as d^2 powers a node."""
+    d, kp = rep.cutoff, _kplus(rep.k, rep.cutoff)
+    exp_kp = term = np.eye(d)
+    for j in range(1, d):
+        term = term @ kp / j
+        exp_kp = exp_kp + term
+    theta = np.asarray(theta, dtype=float)[:, None, None]
+    m = np.arange(d)
+    lower, t = np.maximum(np.subtract.outer(m, m), 0), np.tanh(theta)
+    mid = np.cosh(theta) ** (-2 * (m + rep.k))
+    e = ((-t) ** lower * exp_kp * mid) @ np.swapaxes(t**lower * exp_kp, 1, 2)
+    b = (m[:, None] + m + 2 * rep.k) * ((-1.0) ** m)[:, None] * e
+    return e, b, np.cosh(theta) * np.diag(m + rep.k) + 0.5j * np.sinh(theta) * (kp.T - kp)
 
 
 def analysis_B(rep, theta, phi):
@@ -391,6 +409,33 @@ def analysis_singular_values(sys):
     dense = dense.reshape(len(sys.grid), -1)
     sv = np.linalg.svd(np.sqrt(sys.grid.weights)[:, None] * dense.conj(), compute_uv=False)
     return (float(sv.min()) if len(sys.grid) >= sys.dim**2 else 0.0), float(sv.max())
+
+
+def frame_operator(sys, synthesis):
+    """(index, blocks) of ``frame_core._frame_operator``, one ``key == k`` pass and one
+    BLAS-free ``einsum`` per charge class, packed first-fit, largest first."""
+    n_phi, n = len(sys.phis), sys.dim**2
+    w = n_phi * sys.grid.weights[::n_phi, None]
+    vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (synthesis, sys.analysis_family))
+    diffs = frame_core._flat_differences(sys.analysis_family.charges)
+    key = diffs % n_phi
+    if n_phi == 1:  # key mod dim only if each slice lies inside one class
+        key, held = diffs % sys.dim, (vg != 0) | (vf != 0)
+        if np.any(held & (key != key[held.argmax(axis=1), None])):
+            key = np.zeros(n)
+    classes = [np.flatnonzero(key == k) for k in sorted(set(key.tolist()))]
+    classes.sort(key=len, reverse=True)
+    m, fill, places = len(classes[0]), [0] * len(classes), []
+    for c in classes:
+        i = next(i for i, a in enumerate(fill) if a + len(c) <= m)
+        places.append((i, slice(fill[i], fill[i] + len(c))))
+        fill[i] += len(c)
+    index = np.full((len(fill) - fill.count(0), m), n)
+    blocks = np.zeros(index.shape + (m,), dtype=complex)
+    for c, (i, a) in zip(classes, places):
+        index[i, a] = c
+        blocks[i, a, a] = np.einsum("si,sj->ij", vg[:, c] * w, vf[:, c].conj())
+    return index, blocks
 
 
 def apply_frame(sys, o):

@@ -133,6 +133,8 @@ class TestTomoRun:
             # one phi node: the lattice's classes are keyed by (a - b) mod N,
             # so frame_bounds runs 15 eigensolves of order 15, not one of 225
             ({"system": "dps", "params": {"N": 15}}, "frame_A"),
+            # the keyed lattice build: 20 blocks, each a GEMM over its own 20 slices
+            ({"system": "dps", "params": {"N": 20}}, "frame_A"),
             ({"system": "spin", "params": {"two_s": 10}, "frame_bounds": True}, "frame_A"),
             # characteristic samples on the polar homodyne system, resummed by the engine
             ({"system": "symplectic", "params": {"d": 10, "delta_ladder": [4.0], "n_mn": 30}},
@@ -147,7 +149,7 @@ class TestTomoRun:
               "state": {"kind": "coherent", "d": 32, "beta_re": 0.6, "beta_im": -0.3},
               "frame_bounds": False}, "fidelity"),
         ],
-        ids=["homodyne", "dps", "spin", "symplectic", "su11", "homodyne-stream"],
+        ids=["homodyne", "dps", "dps20", "spin", "symplectic", "su11", "homodyne-stream"],
     )
     def test_byte_identical_across_blas_threads(self, tmp_path, doc, field):
         # the engine, frame_bounds and the solvers go through BLAS and LAPACK;
@@ -334,6 +336,13 @@ class TestEmit:
         want = loop_reference.emit_rows(load_config(path, {}), kind)
         assert out.read_text().splitlines()[1:] == want
 
+    def test_cells_format_each_bit_pattern(self):
+        # -0.0 == 0.0, yet they print apart, so a cell is keyed on the float's bits
+        column = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 1e-300, 1.5])
+        assert cli._cells(column).tolist() == [cli._fmt(x) for x in column]
+        assert cli._cells(column)[:2].tolist() == ["0", "-0"]
+        assert cli._cells(np.array([3, -1, 3])).tolist() == ["3", "-1", "3"]
+
     def test_unsupported_combination(self, tmp_path, capsys):
         path = dps_config(tmp_path)
         assert main(["emit", "--config", path, "--out", str(tmp_path / "o"),
@@ -496,6 +505,23 @@ class TestConfigTable:
         rc, err = run_main(write_config(tmp_path, doc), command, kind, tmp_path / "o")
         assert rc == 1
         assert len(err) == 1 and field in err[0], err
+
+    def test_exhausted_memory_one_line(self, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli.discrete_ps, "heisenberg_finite_system", exhausted)
+        rc, err = run_main(dps_config(tmp_path), "tomo-run", None, tmp_path / "o")
+        assert rc == 1
+        assert err == ["config error: too large for memory: allocation failed"]
+
+    @pytest.mark.parametrize("command, kind", [("tomo-run", None), ("emit", "qfunc")])
+    def test_oversized_homodyne_one_line(self, tmp_path, command, kind):
+        # d 10^7: the Laguerre table (tomo-run) and the Fock state (emit) are
+        # petabyte and terabyte arrays, refused at once whatever the overcommit policy
+        doc = {"system": "homodyne", "params": {"d": 10**7, "R": 5.0, "n_r": 4, "n_phi": 4}}
+        rc, err = run_main(write_config(tmp_path, doc), command, kind, tmp_path / "o")
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("config error: too large for memory:"), err
 
     def test_integer_accepted_for_float_field(self, tmp_path):
         # a JSON integer is a finite number, and the report is the same as for 3.0

@@ -10,11 +10,13 @@ analysis frame operator S_F against the self-paired system's, and the cached
 frame operator behind ``roundtrip``, ``admissibility_constant`` and
 ``frame_bounds`` against the sample path and the dense masked Gram kept
 there, together with the way its charge classes are keyed and packed into
-blocks; its batched block product is checked against the ``einsum`` kept there.
+blocks. Its blocks are checked against the per-class ``einsum`` build kept
+there, and its batched block product against the ``einsum`` product.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,15 +320,21 @@ def test_lattice_keyed_by_difference_mod_n():
 
 @pytest.mark.parametrize("N", [3, 8, 15])
 def test_lattice_blocks_equal_one_class_entries(N):
-    # keying the lattice only drops the zeros between classes: bit for bit
+    # keying the lattice only drops the zeros between classes: the keyed
+    # frame, summed over each block's own N slices, and the one-class frame,
+    # summed over all N^2, both match the per-class oracle and each other
     sys = heisenberg_finite_system(N)
     flat = sys.analysis_family._replace(charges=np.zeros(N))
-    one = dataclasses.replace(sys, analysis_family=flat, synthesis_family=flat)._frame
-    keyed = sys._frame
+    one_sys = dataclasses.replace(sys, analysis_family=flat, synthesis_family=flat)
+    one, keyed = one_sys._frame, sys._frame
     assert one.blocks.shape == (1, N * N, N * N)
     assert keyed.blocks.shape == (N, N, N)
+    for frame, system in ((one, one_sys), (keyed, sys)):
+        index, blocks = loop_reference.frame_operator(system, system.synthesis_family)
+        assert np.array_equal(frame.index, index)
+        assert _close(frame.blocks, blocks)
     for idx, block in zip(keyed.index, keyed.blocks):
-        assert np.array_equal(block, one.blocks[0][np.ix_(idx, idx)])
+        assert _close(block, one.blocks[0][np.ix_(idx, idx)])
 
 
 GATE_SYSTEMS = {
@@ -342,6 +350,43 @@ GATE_SYSTEMS = {
 
 BLOCK_CASES = {**{f"gate-{k}": v for k, v in GATE_SYSTEMS.items()},
                **{f"layout-{k}": v for k, v in LAYOUT_CASES.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_frame_operator_matches_per_class_oracle(name):
+    # one sort, one packing and one batched matmul against one einsum per
+    # class: the same index, and blocks equal to rounding; for a dual pair
+    # both the pair's S and the analysis family's own S_F
+    sys = BLOCK_CASES[name]()
+    for frame, family in ((sys._frame, sys.synthesis_family),
+                          (sys._analysis_frame, sys.analysis_family)):
+        index, blocks = loop_reference.frame_operator(sys, family)
+        assert np.array_equal(frame.index, index)
+        assert _close(frame.blocks, blocks)
+
+
+@pytest.mark.parametrize("entries", [1, 130, 300])
+@pytest.mark.parametrize("name", ["homodyne-aliased", "dps-5"])
+def test_frame_chunks_bit_identical_to_one_product(monkeypatch, name, entries):
+    # chunking only splits the batch of blocks (60 and 25 gathered entries a
+    # block here): one block a step, a few, and all of them in one
+    sys = LAYOUT_CASES[name]()
+    monkeypatch.setattr(frame_core, "FRAME_CHUNK", 1 << 20)
+    whole = frame_core._frame_operator(sys, sys.synthesis_family).blocks
+    monkeypatch.setattr(frame_core, "FRAME_CHUNK", entries)
+    assert np.array_equal(frame_core._frame_operator(sys, sys.synthesis_family).blocks, whole)
+
+
+def test_stream_frame_build_memory_bounded():
+    # the blocks take 0.52 MB; gathering every block at once peaked at 2.4 MB
+    sys = LAYOUT_CASES["homodyne-stream"]()
+    tracemalloc.start()
+    try:
+        frame_core._frame_operator(sys, sys.synthesis_family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))

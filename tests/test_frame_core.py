@@ -310,7 +310,44 @@ class TestLayout:
         assert layout_calls == []
 
 
+class TestSystemChecks:
+    def test_one_family_object_checked_once(self, monkeypatch):
+        # the lattice is self-dual (one object on both sides), the spin pair is not
+        calls, check = [], frame_core._checked_differences
+        monkeypatch.setattr(frame_core, "_checked_differences",
+                            lambda name, *rest: calls.append(name) or check(name, *rest))
+        heisenberg_finite_system(3)
+        moyal_system(SpinParams(1), sphere_grid(SpinParams(1)))
+        assert calls == ["analysis", "analysis", "synthesis"]
+
+    @pytest.mark.parametrize("side", ["analysis", "synthesis"])
+    @pytest.mark.parametrize("fault, message", [("shape", "family needs n_s >= 1"),
+                                                ("finite", "family must be finite"),
+                                                ("charges", "family needs integer charge")])
+    def test_each_family_named_in_its_message(self, side, fault, message):
+        sys = moyal_system(SpinParams(1), sphere_grid(SpinParams(1)))
+        family = getattr(sys, f"{side}_family")
+        if fault == "shape":
+            bad = family._replace(slices=family.slices[:, :1, :1])
+        elif fault == "finite":
+            bad = family._replace(slices=np.where(np.eye(2), np.nan, family.slices))
+        else:
+            bad = family._replace(charges=np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match=f"{side} {message}"):
+            dataclasses.replace(sys, **{f"{side}_family": bad})
+
+
 class TestRoundtrip:
+    def test_keeps_the_finiteness_scan(self, monkeypatch):
+        # the engine's array is adopted, not copied, and still scanned
+        monkeypatch.setattr(frame_core, "_apply_frame", lambda sys, o: np.full((2, 2), np.nan + 0j))
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            roundtrip(heisenberg_finite_system(2), Operator(np.eye(2)))
+
+    def test_result_is_read_only(self):
+        rec, _ = roundtrip(heisenberg_finite_system(2), Operator(np.eye(2)))
+        assert not rec.entries.flags.writeable
+
     def test_lattice_parseval_exact(self):
         rng = np.random.default_rng(4)
         sys = heisenberg_finite_system(2)

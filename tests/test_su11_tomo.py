@@ -194,6 +194,15 @@ class TestBatchedSlices:
         assert node_error[0] <= 1e-11
         assert np.abs(batched - exact).max() <= 1e-12 * scale.max()
 
+    @pytest.mark.parametrize("theta_max", [6.0, 12.0])
+    @pytest.mark.parametrize("cutoff", range(6, 17))
+    def test_power_tables_bit_identical_to_entrywise_powers(self, cutoff, theta_max):
+        # d powers of tanh per node, gathered by a - b, are the d^2 powers it took
+        rep = DiscreteSeriesRep(1.0, cutoff)
+        theta = _theta_nodes(theta_max, 40)
+        for got, want in zip(su11_tomo._slices(rep, theta), loop_reference.su11_slices(rep, theta)):
+            assert np.array_equal(got, want)
+
     def test_single_node_is_the_batched_case(self):
         rep = DiscreteSeriesRep(1.5, 8)
         e = su11_tomo._slices(rep, [0.7, 1.3])[0]
