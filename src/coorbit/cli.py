@@ -7,8 +7,8 @@ Three subcommands driven by a strictly validated JSON config:
 * ``emit``        — export distributions (wigner / qfunc / marginal / symbols)
   as CSV.
 
-Each config section is checked against its typed table by :func:`_typed`;
-the commands read only the typed values it returns. An arithmetic failure
+:func:`load_config` types every section for every command, ``state`` when
+it is built; the commands read only the typed values. An arithmetic failure
 (overflow, division by zero, invalid operation) is reported as a config
 error that names the number keys of the section being computed and their
 values.
@@ -142,12 +142,6 @@ def _typed(section: dict, table: dict, where: str) -> dict:
     return out
 
 
-def _params(doc: dict, command: str) -> dict:
-    fill = REQ if command == "tomo-run" else None
-    table = {k: (t, fill if d is TOMO else d) for k, (t, d) in PARAMS[doc["system"]].items()}
-    return _typed(doc["params"], table, "params")
-
-
 @contextlib.contextmanager
 def _blame(section: dict, where: str):
     """Report an arithmetic failure as a config error naming the section's number keys."""
@@ -203,7 +197,8 @@ def _state(doc: dict, dim=None, **default) -> DensityMatrix:
     return rho
 
 
-def load_config(path: str, overrides: dict) -> dict:
+def load_config(path: str, command: str, seed=None) -> dict:
+    """The config at ``path`` with every section but ``state`` typed; ``seed`` replaces its seed."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -213,7 +208,10 @@ def load_config(path: str, overrides: dict) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    doc = _typed({**doc, **{k: v for k, v in overrides.items() if v is not None}}, TOP, "config")
+    doc = _typed(doc if seed is None else {**doc, "seed": seed}, TOP, "config")
+    fill = REQ if command == "tomo-run" else None
+    table = {k: (t, fill if d is TOMO else d) for k, (t, d) in PARAMS[doc["system"]].items()}
+    doc["params"] = _typed(doc["params"], table, "params")
     tol = doc["tolerances"] = _typed(doc["tolerances"], TOLERANCES, "tolerances")
     for key, top in (("hs_error", math.inf), ("fidelity", 1.0)):
         if tol[key] is not None and not 0 <= tol[key] <= top:
@@ -272,9 +270,8 @@ def _check_tolerances(report: dict, tolerances: dict):
 
 
 def cmd_tomo_run(doc: dict, out_path: str) -> int:
-    params = _params(doc, "tomo-run")
-    with _blame(params, "params"):
-        report = _tomo_report(doc, params)
+    with _blame(doc["params"], "params"):
+        report = _tomo_report(doc, doc["params"])
     _check_tolerances(report, doc["tolerances"])
     return _write(out_path, _json_17(report))
 
@@ -326,9 +323,8 @@ def cmd_emit(doc: dict, kind: str, out_path: str) -> int:
     name = doc["system"]
     if EMIT_SYSTEMS.get(kind) != name:
         raise ConfigError(f"emit kind {kind!r} is not supported for system {name!r}")
-    params = _params(doc, "emit")
-    with _blame(params, "params"):
-        header, columns = _emit_columns(doc, kind, params)
+    with _blame(doc["params"], "params"):
+        header, columns = _emit_columns(doc, kind, doc["params"])
     rows = map(",".join, zip(*map(_cells, columns)))
     return _write(out_path, "\n".join([header, *rows]))
 
@@ -363,6 +359,8 @@ def _emit_columns(doc: dict, kind: str, params: dict):
     if kind == "marginal":
         rho = _state(doc, kind="fock", n=0, d=params["d"])
         mu, nu = params["mu"], params["nu"]
+        if not params["n_X"]:
+            raise ConfigError("params.n_X must be at least 1, got 0")
         x_nodes = np.linspace(-4, 4, params["n_X"])
         w = symplectic_tomo.marginal(rho, mu, nu, x_nodes)
         return "X,mu,nu,w", (x_nodes, np.full(len(w), mu), np.full(len(w), nu), w)
@@ -383,7 +381,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=("state-make", "tomo-run", "emit"))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--system", choices=SYSTEMS, help="override the config system")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--tolerance", type=float, help="override the hs_error tolerance")
     parser.add_argument("--kind", choices=tuple(EMIT_SYSTEMS), help="distribution kind for emit")
@@ -397,7 +394,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            doc = load_config(args.config, {"system": args.system, "seed": args.seed})
+            doc = load_config(args.config, args.command, args.seed)
             if args.tolerance is not None:
                 if not (_is(float, args.tolerance) and args.tolerance >= 0):
                     raise ConfigError(f"--tolerance must be a finite number >= 0: {args.tolerance}")

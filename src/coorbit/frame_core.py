@@ -10,9 +10,10 @@ diag(e^{i phi charges}) at phi = 2 pi (k % n_phi) / n_phi, the slice-major
 order of :func:`slice_major_grid`. n_phi = len(grid) / n_s is derived, so
 the circle is uniform by construction; families without that U(1) covariance
 have one slice per node (n_phi = 1). A system checks that the weights do not
-depend on phi and that charge differences are integers and the same in both
-families. Families are normalized (admissibility constant 1), so the round
-trip needs no constant.
+depend on phi and that the charge differences c_a - c_b are integers below
+2^53 in size and the same in both families, and keeps them as one int array
+that every later reader takes. Families are normalized (admissibility
+constant 1), so the round trip needs no constant.
 
 A system caches what it reads on first use. :func:`analyze`,
 :func:`synthesize` and :func:`singular_admissibility` read one layout per
@@ -192,6 +193,7 @@ class TomographicSystem:
         if not (same or np.array_equal(diffs, _checked_differences(
                 "synthesis", self.synthesis_family, shape, rest))):
             raise ValueError("analysis and synthesis families need the same charge differences")
+        object.__setattr__(self, "_diffs", diffs)  # c_a - c_b per flat (a, b), read by the engine
         for name in ("analysis", "synthesis"):
             family = getattr(self, f"{name}_family")
             object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family))
@@ -209,7 +211,7 @@ class TomographicSystem:
 
     @cached_property
     def _layout(self) -> _Layout:
-        return _layout(self.analysis_family, self.phis)
+        return _layout(self)
 
     @cached_property
     def _frame(self) -> _FrameOperator:
@@ -222,16 +224,16 @@ class TomographicSystem:
 
 
 def _checked_differences(name: str, family: SliceFamily, shape: tuple, rest: int) -> np.ndarray:
-    """The family's flat charge differences, after its shape, finiteness and integer checks."""
+    """A family's flat c_a - c_b as ints, after its shape, finiteness, integer and range checks."""
     if rest or np.shape(family.slices) != shape or np.shape(family.charges) != shape[1:2]:
         raise ValueError(f"{name} family needs n_s >= 1 dividing len(grid), {shape} "
                          f"slices and {shape[1]} charges")
     if not (np.all(np.isfinite(family.slices)) and np.all(np.isfinite(family.charges))):
         raise ValueError(f"{name} family must be finite")
-    diffs = _flat_differences(family.charges)
-    if not np.array_equal(diffs, np.round(diffs)):
-        raise ValueError(f"{name} family needs integer charge differences")
-    return diffs
+    diffs = np.subtract.outer(family.charges, family.charges, dtype=float).ravel()  # ints would wrap
+    if not (np.array_equal(diffs, np.round(diffs)) and np.all(np.abs(diffs) < 2.0**53)):
+        raise ValueError(f"{name} family needs integer charge differences below 2^53 in size")
+    return diffs.astype(int)
 
 
 def _node_view(nodes: np.ndarray, phis: np.ndarray, family: SliceFamily):
@@ -246,11 +248,6 @@ def _node_view(nodes: np.ndarray, phis: np.ndarray, family: SliceFamily):
     return at
 
 
-def _flat_differences(charges) -> np.ndarray:
-    """c_a - c_b for each flat (a, b) entry."""
-    return np.subtract.outer(charges, charges).ravel()
-
-
 class _Layout(NamedTuple):
     """The flat (a, b) entries grouped by charge difference c_a - c_b, shared by both families."""
 
@@ -261,12 +258,12 @@ class _Layout(NamedTuple):
     phases: np.ndarray  # (n_delta, n_phi) e^{-i phi delta}
 
 
-def _layout(family: SliceFamily, phis: np.ndarray) -> _Layout:
-    deltas, inverse = np.unique(_flat_differences(family.charges), return_inverse=True)
+def _layout(sys: TomographicSystem) -> _Layout:
+    deltas, inverse = np.unique(sys._diffs, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     starts = np.searchsorted(inverse[order], np.arange(len(deltas)))
-    conj_slices = np.reshape(family.slices, (len(family.slices), -1))[:, order].conj()
-    phases = np.exp(-1j * np.multiply.outer(deltas, phis))
+    conj_slices = np.reshape(sys.analysis_family.slices, (-1, len(order)))[:, order].conj()
+    phases = np.exp(-1j * np.multiply.outer(deltas, sys.phis))
     return _Layout(order, starts, inverse, conj_slices, phases)
 
 
@@ -308,10 +305,10 @@ def _frame_operator(sys: TomographicSystem, synthesis: SliceFamily) -> _FrameOpe
     n_phi, n, n_s = len(sys.phis), sys.dim**2, len(sys.analysis_family.slices)
     w = n_phi * sys.grid.weights[::n_phi]
     vg, vf = (np.reshape(fam.slices, (n_s, n)) for fam in (synthesis, sys.analysis_family))
-    diffs = _flat_differences(sys.analysis_family.charges).astype(int)  # integers, checked
-    key, own = diffs % n_phi, None
+    key, own = sys._diffs % n_phi, None
     if n_phi == 1:  # key mod dim only if each slice lies inside one class
-        key, held = diffs % sys.dim, (vg != 0) | (vf != 0)
+        held = vf != 0 if synthesis is sys.analysis_family else (vg != 0) | (vf != 0)
+        key = sys._diffs % sys.dim
         own = key[held.argmax(axis=1)]  # the class key of each slice
         if np.any(held & (key != own[:, None])):
             key, own = np.zeros_like(key), None
@@ -384,7 +381,7 @@ def synthesize(sys: TomographicSystem, s: SampleVector) -> Operator:
     if s.grid_id != sys.grid.grid_id or len(s.values) != len(sys.grid):
         raise ValueError("sample vector is not aligned with the system grid")
     weighted = sys.grid.weights * s.values
-    return Operator(_resum(sys.synthesis_family, sys._layout, weighted))
+    return Operator._adopt(_resum(sys.synthesis_family, sys._layout, weighted))
 
 
 def roundtrip(sys: TomographicSystem, o: Operator):

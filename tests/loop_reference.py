@@ -417,7 +417,7 @@ def frame_operator(sys, synthesis):
     n_phi, n = len(sys.phis), sys.dim**2
     w = n_phi * sys.grid.weights[::n_phi, None]
     vg, vf = (np.reshape(fam.slices, (len(w), n)) for fam in (synthesis, sys.analysis_family))
-    diffs = frame_core._flat_differences(sys.analysis_family.charges)
+    diffs = np.subtract.outer(sys.analysis_family.charges, sys.analysis_family.charges).ravel()
     key = diffs % n_phi
     if n_phi == 1:  # key mod dim only if each slice lies inside one class
         key, held = diffs % sys.dim, (vg != 0) | (vf != 0)
@@ -507,8 +507,9 @@ def slice_major_grid(radial, radial_weights, n_phi):
 
 
 def emit_rows(doc, kind):
-    """The CSV rows of ``coorbit emit``, one ``_fmt`` call per value."""
-    params = cli._params(doc, "emit")
+    """The CSV rows of ``coorbit emit`` for a config typed by ``cli.load_config``, one
+    ``_fmt`` call per value."""
+    params = doc["params"]
     if kind == "wigner":
         N = params["N"]
         w = discrete_ps.discrete_wigner(cli._state(doc, kind="fock", n=0, d=N), N)

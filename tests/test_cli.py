@@ -57,12 +57,7 @@ class TestConfigLoading:
     def test_unknown_system_rejected(self, tmp_path):
         path = write_config(tmp_path, {"system": "optical", "params": {}})
         with pytest.raises(Exception):
-            load_config(path, {})
-
-    def test_system_override(self, tmp_path):
-        path = write_config(tmp_path, {"system": "dps", "params": {"N": 2}})
-        doc = load_config(path, {"system": "spin"})
-        assert doc["system"] == "spin"
+            load_config(path, "tomo-run")
 
 
 class TestStateMake:
@@ -99,6 +94,16 @@ class TestStateMake:
                        "state": {"kind": "fock", "n": 5, "d": 2}}
         )
         assert main(["state-make", "--config", path, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("params, field", [
+        ({"N": 3, "bogus": 1}, "unknown keys in params: ['bogus']"),
+        ({"N": "x"}, "params.N must be a non-negative integer"),
+    ], ids=["unknown", "mistyped"])
+    def test_params_checked_as_for_other_commands(self, tmp_path, params, field):
+        doc = {"system": "dps", "params": params, "state": {"kind": "fock", "n": 0, "d": 3}}
+        rc, err = run_main(write_config(tmp_path, doc), "state-make", None, tmp_path / "o")
+        assert rc == 1
+        assert len(err) == 1 and field in err[0], err
 
     def test_random_state_seed_reproducible(self):
         a = build_state({"kind": "random", "d": 5, "seed": 11})
@@ -194,6 +199,20 @@ class TestTomoRun:
                   "--tolerance", "1e-12"])
             == 2
         )
+
+    def test_seed_flag_replaces_config_seed(self, tmp_path):
+        # one --seed gives the same bytes twice and the config's own seed's; another seed
+        # draws another default random state
+        doc = {"system": "homodyne", "params": {"d": 4, "R": 3.0, "n_r": 6, "n_phi": 8},
+               "frame_bounds": False, "seed": 1}
+        path, pinned = write_config(tmp_path, doc), write_config(tmp_path, {**doc, "seed": 5}, "5")
+        runs = [(path, "5"), (path, "5"), (pinned, None), (path, "6")]
+        for i, (config, seed) in enumerate(runs):
+            argv = ["tomo-run", "--config", config, "--out", str(tmp_path / f"out{i}")]
+            assert main(argv + (["--seed", seed] if seed else [])) == 0
+        a, b, c, other = ((tmp_path / f"out{i}").read_bytes() for i in range(len(runs)))
+        assert a == b == c
+        assert json.loads(a)["hs_error"] != json.loads(other)["hs_error"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_rejected(self, tmp_path, capsys, value):
@@ -333,7 +352,7 @@ class TestEmit:
         path = write_config(tmp_path, doc)
         out = tmp_path / "rows.csv"
         assert main(["emit", "--config", path, "--out", str(out), "--kind", kind]) == 0
-        want = loop_reference.emit_rows(load_config(path, {}), kind)
+        want = loop_reference.emit_rows(load_config(path, "emit"), kind)
         assert out.read_text().splitlines()[1:] == want
 
     def test_cells_format_each_bit_pattern(self):
@@ -393,6 +412,8 @@ MALFORMED = [
      "theta_max_ladder"),
     ("tomo-run", None, {"system": "homodyne",
                         "params": {"d": 4, "R": 1e308, "n_r": 4, "n_phi": 4}}, "params.R"),
+    # an empty marginal is a config error, as a zero count of any other nodes is
+    ("emit", "marginal", {"system": "symplectic", "params": {"d": 4, "n_X": 0}}, "params.n_X"),
 ]
 
 

@@ -303,7 +303,8 @@ def test_stream_frame_packs_classes_in_pairs():
     sys = LAYOUT_CASES["homodyne-stream"]()
     frame, n, n_phi = sys._frame, sys.dim**2, len(sys.phis)
     assert frame.blocks.shape == (32, 32, 32)
-    key = frame_core._flat_differences(sys.analysis_family.charges) % n_phi
+    charges = sys.analysis_family.charges
+    key = np.subtract.outer(charges, charges).ravel() % n_phi
     block = _block_of(frame.index, n)
     for k in set(key.tolist()):
         assert len(set(block[key == k].tolist())) == 1
@@ -316,6 +317,20 @@ def test_lattice_keyed_by_difference_mod_n():
     a, b = np.divmod(keyed.index, 5)
     assert np.all((a - b) % 5 == (a - b)[:, :1] % 5)
     assert LAYOUT_CASES["dps-5-straddling"]()._frame.blocks.shape == (1, 25, 25)
+
+
+def test_lattice_pair_straddling_on_synthesis_side_keeps_one_class():
+    # the analysis slices lie inside one class each and the synthesis slices do
+    # not: the pair's S falls back to one class, the analysis family's own S_F stays keyed
+    sys = heisenberg_finite_system(5)
+    leaky = _straddling_lattice(5).synthesis_family
+    pair = dataclasses.replace(sys, synthesis_family=leaky)
+    assert pair._frame.blocks.shape == (1, 25, 25)
+    assert pair._analysis_frame.blocks.shape == (5, 5, 5)
+    for frame, family in ((pair._frame, leaky), (pair._analysis_frame, sys.analysis_family)):
+        index, blocks = loop_reference.frame_operator(pair, family)
+        assert np.array_equal(frame.index, index)
+        assert np.abs(frame.blocks - blocks).max() <= 1e-13
 
 
 @pytest.mark.parametrize("N", [3, 8, 15])

@@ -223,9 +223,9 @@ class TestLayout:
         calls = []
         build = frame_core._layout
 
-        def counted(family, phis):
-            calls.append(family)
-            return build(family, phis)
+        def counted(sys):
+            calls.append(sys)
+            return build(sys)
 
         monkeypatch.setattr(frame_core, "_layout", counted)
         return calls
@@ -261,7 +261,7 @@ class TestLayout:
         analyze(sys, rho)
         synthesize(sys, analyze(sys, rho))
         admissibility_constant(sys, sys.vacuum, sys.test_functional)
-        assert layout_calls == [sys.analysis_family]
+        assert layout_calls == [sys]
 
     def test_dual_pair_builds_one_layout(self, layout_calls):
         # the synthesis family resums through the analysis family's grouping and phases
@@ -270,7 +270,7 @@ class TestLayout:
         rho = random_state(np.random.default_rng(10), sys.dim)
         synthesize(sys, analyze(sys, rho))
         synthesize(sys, analyze(sys, rho))
-        assert layout_calls == [sys.analysis_family]
+        assert layout_calls == [sys]
 
     def test_dual_pair_builds_one_frame_operator(self, layout_calls, frame_calls):
         # roundtrip, admissibility_constant and frame_bounds read the cached S only
@@ -336,6 +336,22 @@ class TestSystemChecks:
         with pytest.raises(ValueError, match=f"{side} {message}"):
             dataclasses.replace(sys, **{f"{side}_family": bad})
 
+    @pytest.mark.parametrize("charges", [[0.0, 1e19], [-2.0**52, 2.0**52], [-2**62, 2**62]])
+    def test_rejects_differences_past_exact_integers(self, charges):
+        # past 2^53 a float difference is no longer an exact integer (at [0, 1e19] roundtrip
+        # and synthesize(analyze(.)) differed), and int64 charges of opposite sign at 2^62
+        # wrap to -2^63 if subtracted as ints
+        sys = heisenberg_finite_system(2)
+        family = sys.analysis_family._replace(charges=np.array(charges))
+        with pytest.raises(ValueError, match="analysis family needs integer charge differences"):
+            dataclasses.replace(sys, analysis_family=family, synthesis_family=family)
+
+    def test_keeps_differences_as_ints(self):
+        sys = moyal_system(SpinParams(2), sphere_grid(SpinParams(2)))
+        charges = sys.analysis_family.charges
+        assert sys._diffs.dtype.kind == "i"
+        assert np.array_equal(sys._diffs, np.subtract.outer(charges, charges).ravel())
+
 
 class TestRoundtrip:
     def test_keeps_the_finiteness_scan(self, monkeypatch):
@@ -347,6 +363,22 @@ class TestRoundtrip:
     def test_result_is_read_only(self):
         rec, _ = roundtrip(heisenberg_finite_system(2), Operator(np.eye(2)))
         assert not rec.entries.flags.writeable
+
+    def test_synthesize_adopts_its_array(self, monkeypatch):
+        # the resummed array is the engine's own: read-only, neither copied nor rescanned
+        sys = heisenberg_finite_system(3)
+        s = analyze(sys, Operator(np.eye(3)))
+        monkeypatch.setattr(Operator, "__post_init__", lambda op: pytest.fail("copied"))
+        rec = synthesize(sys, s)
+        assert not rec.entries.flags.writeable
+        assert np.abs(rec.entries - np.eye(3)).max() < 1e-14
+
+    def test_synthesize_keeps_the_finiteness_scan(self, monkeypatch):
+        sys = heisenberg_finite_system(2)
+        s = analyze(sys, Operator(np.eye(2)))
+        monkeypatch.setattr(frame_core, "_resum", lambda *args: np.full((2, 2), np.nan + 0j))
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            synthesize(sys, s)
 
     def test_lattice_parseval_exact(self):
         rng = np.random.default_rng(4)
