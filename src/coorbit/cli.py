@@ -8,7 +8,8 @@ Three subcommands driven by a strictly validated JSON config:
   as CSV.
 
 :func:`load_config` types every section for every command, ``state`` when
-it is built; the commands read only the typed values. An arithmetic failure
+it is built, and ``tomo-run`` and ``emit`` check its dimension against the
+system's; the commands read only the typed values. An arithmetic failure
 (overflow, division by zero, invalid operation) is reported as a config
 error that names the number keys of the section being computed and their
 values.
@@ -189,16 +190,16 @@ def _make_state(kind: str, s: dict) -> DensityMatrix:
     return DensityMatrix(Operator(rho / np.trace(rho).real))
 
 
-def _state(doc: dict, dim=None, **default) -> DensityMatrix:
-    """The config's state, else the command's default; tomo-run pins the dimension."""
+def _state(doc: dict, dim: int, **default) -> DensityMatrix:
+    """The config's state, else the command's default, checked against the system's dim."""
     rho = build_state(default if doc["state"] is None else doc["state"])
-    if dim is not None and rho.dim != dim:
+    if rho.dim != dim:
         raise ConfigError(f"state dim {rho.dim} does not match system dim {dim}")
     return rho
 
 
-def load_config(path: str, command: str, seed=None) -> dict:
-    """The config at ``path`` with every section but ``state`` typed; ``seed`` replaces its seed."""
+def load_config(path: str, command: str) -> dict:
+    """The config at ``path`` with every section but ``state`` typed."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -208,7 +209,7 @@ def load_config(path: str, command: str, seed=None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    doc = _typed(doc if seed is None else {**doc, "seed": seed}, TOP, "config")
+    doc = _typed(doc, TOP, "config")
     fill = REQ if command == "tomo-run" else None
     table = {k: (t, fill if d is TOMO else d) for k, (t, d) in PARAMS[doc["system"]].items()}
     doc["params"] = _typed(doc["params"], table, "params")
@@ -347,17 +348,19 @@ def _emit_columns(doc: dict, kind: str, params: dict):
     """The CSV header and its columns, one array each."""
     if kind == "wigner":
         N = params["N"]
-        w = discrete_ps.discrete_wigner(_state(doc, kind="fock", n=0, d=N), N)
+        w = discrete_ps.discrete_wigner(_state(doc, N, kind="fock", n=0, d=N), N)
         return "q,p,W", (*np.divmod(np.arange(w.size), 2 * N), w.ravel())
     if kind == "qfunc":
-        rho = _state(doc, kind="fock", n=0, d=params["d"])
-        r, ph = _polar_grid(params).to_index_grid().nodes.T
+        f = cv_tomo.FockSpace(params["d"])
+        rho = _state(doc, f.d, kind="fock", n=0, d=f.d)
+        sys_obj = cv_tomo.coherent_system(f, _polar_grid(params))
+        r, ph = sys_obj.grid.nodes.T
         alphas = r * np.exp(1j * ph)
-        q = cv_tomo.qfunctions(rho, alphas)
+        q = np.clip(analyze(sys_obj, rho.op).values.real, 0.0, 1.0)
         header = "alpha_re,alpha_im,value_re,value_im"
         return header, (alphas.real, alphas.imag, q, np.zeros(len(q)))
     if kind == "marginal":
-        rho = _state(doc, kind="fock", n=0, d=params["d"])
+        rho = _state(doc, params["d"], kind="fock", n=0, d=params["d"])
         mu, nu = params["mu"], params["nu"]
         if not params["n_X"]:
             raise ConfigError("params.n_X must be at least 1, got 0")
@@ -365,7 +368,7 @@ def _emit_columns(doc: dict, kind: str, params: dict):
         w = symplectic_tomo.marginal(rho, mu, nu, x_nodes)
         return "X,mu,nu,w", (x_nodes, np.full(len(w), mu), np.full(len(w), nu), w)
     p, grid = _spin_grid(params)  # symbols
-    rho = _state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
+    rho = _state(doc, p.dim, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
     sys_obj = spin_moyal.moyal_system(p, grid, allow_underresolved=True)
     values = analyze(sys_obj, rho.op).values
     columns = (*sys_obj.grid.nodes.T, sys_obj.grid.weights, values.real, values.imag)
@@ -394,7 +397,11 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            doc = load_config(args.config, args.command, args.seed)
+            doc = load_config(args.config, args.command)
+            if args.seed is not None:
+                if not _is(int, args.seed):
+                    raise ConfigError(f"--seed must be a non-negative integer: {args.seed}")
+                doc["seed"] = args.seed
             if args.tolerance is not None:
                 if not (_is(float, args.tolerance) and args.tolerance >= 0):
                     raise ConfigError(f"--tolerance must be a finite number >= 0: {args.tolerance}")

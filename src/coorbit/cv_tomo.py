@@ -10,7 +10,8 @@ log-factorials from one cumulative sum of logs. The homodyne analysis
 sample at alpha is the Weyl characteristic function Tr(rho D(alpha)^dag).
 The module also provides the diagonal probe operator used for admissibility
 in the singular (identity-vacuum) case, displaced-parity operators, the
-Wigner and Q-functions, and two-mode tensor systems.
+Wigner function, the coherent-state system whose analysis is the Q-function,
+and two-mode tensor systems.
 """
 
 from __future__ import annotations
@@ -113,14 +114,13 @@ def homodyne_system(f: FockSpace, grid: PolarGrid) -> TomographicSystem:
     """
     if f.d < 2:
         raise ValueError("need d >= 2")
-    family = SliceFamily(displacements(f.d, grid.radial[0]), np.arange(f.d, dtype=float))
-    return TomographicSystem(
-        grid=grid.to_index_grid(),
-        analysis_family=family,
-        synthesis_family=family,
-        vacuum=Operator(np.eye(f.d)),
-        test_functional=Operator(np.eye(f.d)),
-    )
+    return _radial_system(grid, displacements(f.d, grid.radial[0]), Operator(np.eye(f.d)))
+
+
+def _radial_system(grid: PolarGrid, slices: np.ndarray, vacuum: Operator) -> TomographicSystem:
+    """Self-dual system of one slice per radial node with charges n; vacuum = test functional."""
+    family = SliceFamily(slices, np.arange(vacuum.dim, dtype=float))
+    return TomographicSystem(grid.to_index_grid(), family, family, vacuum, vacuum)
 
 
 def probe_vector_cv(f: FockSpace, Delta: float) -> Operator:
@@ -206,16 +206,24 @@ def coherent_state(f: FockSpace, beta: complex) -> np.ndarray:
     return coherent_states(f, [beta])[0]
 
 
-def qfunctions(rho: DensityMatrix, alphas) -> np.ndarray:
-    """Husimi Q(alpha) = <alpha| rho |alpha> at every alpha, from one stack of coherent states."""
-    v = coherent_states(FockSpace(rho.dim), alphas)
-    q = np.einsum("na,ab,nb->n", v.conj(), rho.op.entries, v).real
-    return np.clip(q, 0.0, 1.0)
-
-
 def qfunction(rho: DensityMatrix, alpha: complex) -> float:
-    """Husimi Q at one alpha; see :func:`qfunctions`."""
-    return float(qfunctions(rho, [alpha])[0])
+    """Husimi Q(alpha) = <alpha| rho |alpha> in [0, 1], one node of :func:`coherent_system`."""
+    v = coherent_state(FockSpace(rho.dim), alpha)
+    return float(np.clip(np.vdot(v, rho.op.entries @ v).real, 0.0, 1.0))
+
+
+def coherent_system(f: FockSpace, grid: PolarGrid) -> TomographicSystem:
+    """Coherent-projector system over the polar grid (vacuum and test functional |0><0|).
+
+    One slice v v^dag per radial node, v the truncated coherent state of
+    :func:`coherent_states` at r, with charges n: |r e^{i phi}><r e^{i phi}|
+    = U |r><r| U^dag, U = e^{i phi n}. So ``analyze(sys, rho)`` samples the
+    Husimi function Q(alpha) = <alpha| rho |alpha> at every node, the
+    analysis of rho against the displacement orbit of the vacuum.
+    """
+    v = coherent_states(f, grid.radial[0])
+    vacuum = Operator(np.diag(np.eye(f.d)[0]))  # |0><0|
+    return _radial_system(grid, v[:, :, None] * v.conj()[:, None, :], vacuum)
 
 
 def _check_modes(modes, grids):

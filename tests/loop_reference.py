@@ -12,7 +12,8 @@ the SU(1,1) group element through truncated power series of the ladder
 operators, the batched SU(1,1) slices with every power of tanh taken entry
 by entry, the ordered displacements and displaced parity of ``cv_tomo``
 as products of padded matrices cropped to d (and in closed form, a BCH
-scalar times ``displacement_cv``), and the marginal/Wigner
+scalar times ``displacement_cv``), the Q-function as one coherent-state
+overlap per node, and the marginal/Wigner
 line integrals one Wigner point at a time. It also keeps the scipy paths
 that the package replaced with numpy: the Laguerre displacement from
 ``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
@@ -45,7 +46,13 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from coorbit import cli, discrete_ps, frame_core, spin_moyal, symplectic_tomo
 from coorbit.cli import _fmt
-from coorbit.cv_tomo import FockSpace, displacement_cv, qfunctions, wigner_point
+from coorbit.cv_tomo import (
+    FockSpace,
+    coherent_state,
+    coherent_system,
+    displacement_cv,
+    wigner_point,
+)
 from coorbit.opalg import PSD_TOL, Operator, eig_hermitian, matrix_exp
 from coorbit.discrete_ps import point_operator
 from coorbit.spin_moyal import _angular_momentum
@@ -506,28 +513,37 @@ def slice_major_grid(radial, radial_weights, n_phi):
     return frame_core.IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), n_phi))
 
 
+def qfunction_nodes(rho, alphas):
+    """Husimi Q(alpha) = <alpha| rho |alpha> one alpha at a time, unclipped."""
+    f = FockSpace(rho.dim)
+    return np.array([np.vdot(v, rho.op.entries @ v).real
+                     for v in (coherent_state(f, a) for a in alphas)])
+
+
 def emit_rows(doc, kind):
     """The CSV rows of ``coorbit emit`` for a config typed by ``cli.load_config``, one
     ``_fmt`` call per value."""
     params = doc["params"]
     if kind == "wigner":
         N = params["N"]
-        w = discrete_ps.discrete_wigner(cli._state(doc, kind="fock", n=0, d=N), N)
+        w = discrete_ps.discrete_wigner(cli._state(doc, N, kind="fock", n=0, d=N), N)
         return [f"{q},{p},{_fmt(w[q, p])}" for q in range(2 * N) for p in range(2 * N)]
     if kind == "qfunc":
-        rho = cli._state(doc, kind="fock", n=0, d=params["d"])
-        r, ph = np.array(cli._polar_grid(params).to_index_grid().nodes.tolist()).T
+        rho = cli._state(doc, params["d"], kind="fock", n=0, d=params["d"])
+        sys = coherent_system(FockSpace(params["d"]), cli._polar_grid(params))
+        r, ph = np.array(sys.grid.nodes.tolist()).T
         alphas = r * np.exp(1j * ph)
-        return [f"{_fmt(a.real)},{_fmt(a.imag)},{_fmt(q)},{_fmt(0.0)}"
-                for a, q in zip(alphas, qfunctions(rho, alphas))]
+        q = np.clip(frame_core.analyze(sys, rho.op).values.real, 0.0, 1.0)
+        return [f"{_fmt(a.real)},{_fmt(a.imag)},{_fmt(qa)},{_fmt(0.0)}"
+                for a, qa in zip(alphas, q)]
     if kind == "marginal":
-        rho = cli._state(doc, kind="fock", n=0, d=params["d"])
+        rho = cli._state(doc, params["d"], kind="fock", n=0, d=params["d"])
         mu, nu = params["mu"], params["nu"]
         x_nodes = np.linspace(-4, 4, params["n_X"])
         w = symplectic_tomo.marginal(rho, mu, nu, x_nodes)
         return [f"{_fmt(x)},{_fmt(mu)},{_fmt(nu)},{_fmt(wi)}" for x, wi in zip(x_nodes, w)]
     p, grid = cli._spin_grid(params)
-    rho = cli._state(doc, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
+    rho = cli._state(doc, p.dim, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
     samples = frame_core.analyze(spin_moyal.moyal_system(p, grid, allow_underresolved=True), rho.op)
     ig = grid.to_index_grid(p)
     return [f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"

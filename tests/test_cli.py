@@ -214,6 +214,15 @@ class TestTomoRun:
         assert a == b == c
         assert json.loads(a)["hs_error"] != json.loads(other)["hs_error"]
 
+    def test_negative_seed_flag_named(self, tmp_path, capsys):
+        # the flag is at fault, not a config key: the config holds no seed
+        out = tmp_path / "o"
+        assert main(["tomo-run", "--config", dps_config(tmp_path), "--out", str(out),
+                     "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: --seed must be a non-negative integer: -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_rejected(self, tmp_path, capsys, value):
         # the config fails at 1e-12; a non-finite override must not switch the check off
@@ -354,6 +363,23 @@ class TestEmit:
         assert main(["emit", "--config", path, "--out", str(out), "--kind", kind]) == 0
         want = loop_reference.emit_rows(load_config(path, "emit"), kind)
         assert out.read_text().splitlines()[1:] == want
+
+    @pytest.mark.parametrize("kind, doc, state_dim, system_dim", [
+        ("wigner", {"system": "dps", "params": {"N": 3}}, 4, 3),
+        ("qfunc", {"system": "homodyne", "params": {"d": 6, "R": 3.0, "n_r": 4, "n_phi": 4}}, 4, 6),
+        ("marginal", {"system": "symplectic", "params": {"d": 6, "n_X": 9}}, 4, 6),
+        ("symbols", {"system": "spin", "params": {"two_s": 4}}, 3, 5),
+    ], ids=["wigner", "qfunc", "marginal", "symbols"])
+    def test_state_of_another_dim_one_line(self, tmp_path, kind, doc, state_dim, system_dim):
+        if kind == "symbols":
+            state = {"kind": "spin_coherent", "two_s": state_dim - 1, "theta": 0.0, "phi": 0.0}
+        else:
+            state = {"kind": "fock", "d": state_dim, "n": 0}
+        rc, err = run_main(write_config(tmp_path, {**doc, "state": state}), "emit", kind,
+                           tmp_path / "o")
+        assert rc == 1
+        assert err == [f"config error: state dim {state_dim} does not match system dim "
+                       f"{system_dim}"]
 
     def test_cells_format_each_bit_pattern(self):
         # -0.0 == 0.0, yet they print apart, so a cell is keyed on the float's bits

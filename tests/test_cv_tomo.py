@@ -6,13 +6,20 @@ import pytest
 
 import loop_reference
 from coorbit import cv_tomo
-from coorbit.frame_core import frame_bounds, gauss_legendre, roundtrip, singular_admissibility
+from coorbit.frame_core import (
+    analyze,
+    frame_bounds,
+    gauss_legendre,
+    roundtrip,
+    singular_admissibility,
+)
 from coorbit.cv_tomo import (
     FockSpace,
     PolarGrid,
     admissibility_cv,
     coherent_state,
     coherent_states,
+    coherent_system,
     displaced_parity,
     displacement_cv,
     displacements,
@@ -21,7 +28,6 @@ from coorbit.cv_tomo import (
     multimode_system,
     probe_vector_cv,
     qfunction,
-    qfunctions,
     wigner_point,
     wigner_points,
 )
@@ -353,12 +359,21 @@ class TestQFunction:
         assert qfunction(rho, 0.7 + 0.2j) == pytest.approx(1, abs=1e-8)
 
     def test_batched_matches_per_node_overlap(self):
-        # one contraction over every alpha against <alpha|rho|alpha> one node at a time
-        rho = coherent_density(16, -0.4 + 0.6j)
-        alphas = np.array([0.0, 0.5, 1.0 + 0.5j, -2.0j, 3.5 - 1.0j])
-        want = [np.vdot(v, rho.op.entries @ v).real for v in
-                (coherent_state(FockSpace(16), a) for a in alphas)]
-        assert np.abs(qfunctions(rho, alphas) - want).max() < 1e-15
+        # analyze over the coherent-state system against <alpha|rho|alpha> one node
+        # at a time, at every node of the README grid, out to its rim
+        d = 16
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = m @ m.conj().T
+        states = [fock_state(d, 0), fock_state(d, d - 1), coherent_density(d, 3.0),
+                  DensityMatrix(Operator(m / np.trace(m).real))]
+        sys = coherent_system(FockSpace(d), PolarGrid(5.0, 24, 32))
+        r, ph = sys.grid.nodes.T
+        alphas = r * np.exp(1j * ph)
+        for rho in states:
+            want = loop_reference.qfunction_nodes(rho, alphas)
+            assert np.abs(analyze(sys, rho.op).values - want).max() <= 1e-15
+            assert abs(qfunction(rho, alphas[-1]) - np.clip(want[-1], 0, 1)) <= 1e-15
 
     def test_coherent_states_rows_and_large_beta(self):
         betas = [0.0, 0.3 + 0.1j, 40.0, 1e6j]
