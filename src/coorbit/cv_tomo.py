@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem
+from .frame_core import IndexGrid, SampleVector, SliceFamily, TomographicSystem, circle_phases
 from .frame_core import gauss_legendre, singular_admissibility, slice_major_grid, synthesize
 from .opalg import DensityMatrix, Operator
 
@@ -250,10 +250,8 @@ def multimode_system(modes, grids) -> TomographicSystem:
     grid = IndexGrid(nodes, np.outer(s1.grid.weights, s2.grid.weights).ravel())
     # Node (i, j) is A1_i (x) A2_j: slice A1_i (x) S2_r for every mode-1 node
     # i and mode-2 slice r, with mode 2's charges on the second factor.
-    u = np.exp(1j * np.multiply.outer(s1.phis, s1.analysis_family.charges))
-    a1 = u[None, :, :, None] * s1.analysis_family.slices[:, None]
-    a1 *= u.conj()[None, :, None, :]
-    a1 = a1.reshape(-1, 1, s1.dim, 1, s1.dim, 1)
+    u = circle_phases(np.arange(len(s1.phis)), s1._diffs, len(s1.phis)).reshape(-1, s1.dim, s1.dim)
+    a1 = (u * s1.analysis_family.slices[:, None]).reshape(-1, 1, s1.dim, 1, s1.dim, 1)
     d = s1.dim * s2.dim
     slices = (a1 * s2.analysis_family.slices[None, :, None, :, None, :]).reshape(-1, d, d)
     family = SliceFamily(slices, np.tile(s2.analysis_family.charges, s1.dim))

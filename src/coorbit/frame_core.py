@@ -17,10 +17,10 @@ constant 1), so the round trip needs no constant.
 
 A system caches what it reads on first use. :func:`analyze`,
 :func:`synthesize` and :func:`singular_admissibility` read one layout per
-system: the (a, b) entries in order of c_a - c_b, the conjugated analysis
-slices in that order and e^{-i phi delta}, which serve the synthesis family
-too, since both carry the same charge differences. Sampling is a gather, a
-product, a segmented sum and one small GEMM, and resummation its adjoint.
+system, which serves the synthesis family too: the (a, b) entries in order of
+their class (c_a - c_b) mod n_phi and the conjugated analysis slices in that
+order. Sampling is a gather, a product, a sum per class and an n_phi-point DFT,
+and resummation the inverse DFT at each entry's class (``np.fft``, no BLAS).
 :func:`roundtrip`, :func:`admissibility_constant` and :func:`frame_bounds`
 read the frame operator S = sum_k w_k vec(G_k) vec(F_k)^dag (analysis, then
 synthesis); l^d bounds for d != 2 read the analysis family's own S_F (G = F),
@@ -107,6 +107,11 @@ def gauss_legendre(n: int) -> tuple:
 def phase_circle(n_phi: int) -> np.ndarray:
     """The uniform circle 2 pi p / n_phi, p = 0..n_phi-1."""
     return np.arange(n_phi) * 2 * math.pi / n_phi
+
+
+def circle_phases(p, key: np.ndarray, n_phi: int) -> np.ndarray:
+    """e^{i phi_p key} for integer keys at phi_p = 2 pi p / n_phi, from (p key) mod n_phi."""
+    return np.exp(2j * math.pi * (np.multiply.outer(p, key % n_phi) % n_phi) / n_phi)
 
 
 def slice_major_grid(radial, radial_weights, n_phi: int) -> IndexGrid:
@@ -196,7 +201,7 @@ class TomographicSystem:
         object.__setattr__(self, "_diffs", diffs)  # c_a - c_b per flat (a, b), read by the engine
         for name in ("analysis", "synthesis"):
             family = getattr(self, f"{name}_family")
-            object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family))
+            object.__setattr__(self, name, _node_view(self.grid.nodes, self.phis, family, diffs))
         w = self.grid.weights.reshape(-1, len(self.phis))
         if not np.all(w == w[:, :1]):
             raise ValueError("grid weights must not depend on phi")
@@ -236,52 +241,53 @@ def _checked_differences(name: str, family: SliceFamily, shape: tuple, rest: int
     return diffs.astype(int)
 
 
-def _node_view(nodes: np.ndarray, phis: np.ndarray, family: SliceFamily):
+def _node_view(nodes: np.ndarray, phis: np.ndarray, family: SliceFamily, diffs: np.ndarray):
     def at(node) -> Operator:
         k = np.flatnonzero((nodes == node).all(axis=1)) if len(node) == nodes.shape[1] else ()
         if not len(k):
             raise ValueError(f"{node} is not a grid node")
         s, p = divmod(int(k[0]), len(phis))
-        u = np.exp(1j * phis[p] * np.asarray(family.charges))
-        return Operator(u[:, None] * family.slices[s] * u.conj())
+        u = circle_phases(p, diffs, len(phis)).reshape(family.slices[s].shape)
+        return Operator(family.slices[s] * u)
 
     return at
 
 
 class _Layout(NamedTuple):
-    """The flat (a, b) entries grouped by charge difference c_a - c_b, shared by both families."""
+    """The flat (a, b) entries grouped by class (c_a - c_b) mod n_phi, shared by both families."""
 
-    order: np.ndarray  # stable order of the flat entries by charge difference
-    starts: np.ndarray  # first position of each distinct difference in that order
-    inverse: np.ndarray  # index of each flat entry's difference
+    key: np.ndarray  # class of each flat entry
+    order: np.ndarray  # stable order of the flat entries by class
+    starts: np.ndarray  # first position of each occupied class in that order
+    held: np.ndarray  # (n_phi,) True where a class is occupied
     conj_slices: np.ndarray  # (n_s, d * d) conjugated analysis slices, in that order
-    phases: np.ndarray  # (n_delta, n_phi) e^{-i phi delta}
 
 
 def _layout(sys: TomographicSystem) -> _Layout:
-    deltas, inverse = np.unique(sys._diffs, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(len(deltas)))
+    key = sys._diffs % len(sys.phis)
+    order, counts = np.argsort(key, kind="stable"), np.bincount(key, minlength=len(sys.phis))
+    starts = (np.cumsum(counts) - counts)[counts > 0]
     conj_slices = np.reshape(sys.analysis_family.slices, (-1, len(order)))[:, order].conj()
-    phases = np.exp(-1j * np.multiply.outer(deltas, sys.phis))
-    return _Layout(order, starts, inverse, conj_slices, phases)
+    return _Layout(key, order, starts, counts > 0, conj_slices)
 
 
 def _samples(layout: _Layout, o: Operator) -> np.ndarray:
-    """Tr(o F_k^dag) for node k = (s, phi): sum_delta G(s, delta) e^{-i phi delta}.
+    """Tr(o F_k^dag) for node k = (s, p): the DFT over classes j of G(s, j) at p.
 
-    G(s, delta) sums the entries (a, b) of conj(S_s) o with c_a - c_b = delta.
+    G(s, j) sums the entries (a, b) of conj(S_s) o with (c_a - c_b) mod n_phi = j.
     """
     if o.dim**2 != len(layout.order):
         raise ValueError(f"dimension mismatch: operator {o.dim}, system dim^2 {len(layout.order)}")
     m = layout.conj_slices * o.entries.ravel()[layout.order]
-    return (np.add.reduceat(m, layout.starts, axis=1) @ layout.phases).ravel()
+    g = np.zeros((len(m), len(layout.held)), dtype=complex)
+    g[:, layout.held] = np.add.reduceat(m, layout.starts, axis=1)
+    return np.fft.fft(g).ravel()
 
 
 def _resum(family: SliceFamily, layout: _Layout, c: np.ndarray) -> np.ndarray:
-    """sum_k c_k F_k = sum_s S_s * C(s, c_a - c_b), C(s, delta) = sum_phi c e^{i phi delta}."""
+    """sum_k c_k F_k = sum_s S_s * C(s, (c_a - c_b) mod n_phi), C the unscaled inverse DFT of c."""
     n_s, dim, _ = np.shape(family.slices)
-    p = (c.reshape(n_s, -1) @ layout.phases.T.conj())[:, layout.inverse]
+    p = np.fft.ifft(c.reshape(n_s, -1), norm="forward")[:, layout.key]
     return np.einsum("sj,sj->j", p, np.reshape(family.slices, (n_s, -1))).reshape(dim, dim)
 
 
@@ -425,7 +431,7 @@ def singular_admissibility(sys: TomographicSystem, probe: Operator) -> complex:
 
 def coorbit_norm(s: SampleVector, grid: IndexGrid, d: float) -> float:
     """Weighted l^d norm of a sample vector; d = inf gives the sup norm."""
-    if len(s.values) != len(grid):
+    if s.grid_id != grid.grid_id or len(s.values) != len(grid):
         raise ValueError("sample vector is not aligned with the grid")
     if d == math.inf:
         return float(np.abs(s.values).max()) if len(s.values) else 0.0

@@ -36,7 +36,7 @@ import numpy as np
 
 from .frame_core import IndexGrid, SliceFamily, TomographicSystem, roundtrip
 from .frame_core import gauss_legendre, singular_admissibility, slice_major_grid
-from .opalg import DensityMatrix, Operator
+from .opalg import Operator
 
 INTERIOR_MARGIN = 2  # top levels excluded from algebra assertions
 
@@ -181,17 +181,6 @@ def biorthogonality_ladder(
         "diag_value": diag,
         "offdiag_max": off,
     }
-
-
-def reconstruct_su11(rho: DensityMatrix, rep: DiscreteSeriesRep, grid: SUGrid) -> Operator:
-    """Resummation sum_x w_x Tr(B(x)^dag rho) pi(x).
-
-    Note the synthesis family spans only the three-dimensional algebra
-    {Kz, K+, K-}, so the output is the projection of the quadrature pairing
-    onto that span — see the biorthogonality ladder for the matrix elements
-    the pairing does resolve.
-    """
-    return roundtrip(su11_system(rep, grid), rho.op)[0]
 
 
 def thermal_probe(rep: DiscreteSeriesRep, b: float) -> Operator:

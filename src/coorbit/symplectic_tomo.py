@@ -108,9 +108,9 @@ def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> n
 def _characteristic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace):
     """The grid's homodyne system, chi at each of its nodes from the marginals, and s there.
 
-    Node (r, phi) is alpha = r e^{i phi}: s = sqrt(2) r and gamma = atan2(nu, mu)
-    = phi + pi/2. In the scaled variable X = s y,
-    chi = sum_k e^{-i gamma k} sum_y w_y e^{i s y} D_k(y), one product per radial node.
+    Node (r, phi) is alpha = r e^{i phi}: s = sqrt(2) r and gamma = atan2(nu, mu) = phi + pi/2.
+    With h(s, k) = sum_y w_y e^{i s y} D_k(y) in X = s y, one product per radial node, chi =
+    sum_k e^{-i gamma k} h(s, k) is the DFT of h(s, k) (-i)^k over k mod 2d on the 2d angles.
     """
     d = rho.dim
     if f.d != d:
@@ -121,8 +121,10 @@ def _characteristic(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace):
     # einsum, not BLAS: OpenBLAS threads these thin products
     e_isy = yw[:, None] * np.exp(1j * np.multiply.outer(y, s))
     h = np.einsum("ky,ys->sk", _diagonal_sums(rho, y), e_isy)
-    phases = np.exp(-1j * np.multiply.outer(sys.phis + math.pi / 2, np.arange(1 - d, d)))
-    return sys, np.einsum("sk,pk->sp", h, phases).ravel(), np.repeat(s, len(sys.phis))
+    k = np.arange(1 - d, d)
+    g = np.zeros((len(s), 2 * d), dtype=complex)
+    g[:, k % (2 * d)] = h * np.array([1, -1j, -1, 1j])[k % 4]  # (-i)^k
+    return sys, np.fft.fft(g).ravel(), np.repeat(s, 2 * d)
 
 
 def _ladder(rho: DensityMatrix, grid: MarginalGrid, f: FockSpace, regularizers) -> list:

@@ -13,7 +13,7 @@ operators, the batched SU(1,1) slices with every power of tanh taken entry
 by entry, the ordered displacements and displaced parity of ``cv_tomo``
 as products of padded matrices cropped to d (and in closed form, a BCH
 scalar times ``displacement_cv``), the Q-function as one coherent-state
-overlap per node, and the marginal/Wigner
+overlap per node at its exact angle, and the marginal/Wigner
 line integrals one Wigner point at a time. It also keeps the scipy paths
 that the package replaced with numpy: the Laguerre displacement from
 ``scipy.special`` and the spin rotation from ``scipy.linalg.expm``, and the
@@ -513,11 +513,18 @@ def slice_major_grid(radial, radial_weights, n_phi):
     return frame_core.IndexGrid(nodes, np.repeat(np.asarray(radial_weights, dtype=float), n_phi))
 
 
-def qfunction_nodes(rho, alphas):
-    """Husimi Q(alpha) = <alpha| rho |alpha> one alpha at a time, unclipped."""
-    f = FockSpace(rho.dim)
-    return np.array([np.vdot(v, rho.op.entries @ v).real
-                     for v in (coherent_state(f, a) for a in alphas)])
+def qfunction_nodes(rho, radii, n_phi):
+    """Husimi Q(alpha) = <alpha| rho |alpha> one node (r, 2 pi p / n_phi) at a time, unclipped.
+
+    Node (r, p), in r-major order, has the vector |r> e^{2 pi i (n p mod n_phi) / n_phi},
+    its angle taken exactly from the integer p.
+    """
+    f, n, out = FockSpace(rho.dim), np.arange(rho.dim), []
+    for r in radii:
+        for p in range(n_phi):
+            v = coherent_state(f, r) * np.exp(2j * math.pi * ((n * p) % n_phi) / n_phi)
+            out.append(np.vdot(v, rho.op.entries @ v).real)
+    return np.array(out)
 
 
 def emit_rows(doc, kind):

@@ -148,7 +148,7 @@ class TestTomoRun:
             ({"system": "su11", "params": {"k": 1.0, "cutoff": 10, "theta_max_ladder": [6.0],
                                            "n_theta": 40, "n_phi": 8}},
              "thermal_admissibility"),
-            # the stream benchmark size: the engine's GEMMs against the cached layout
+            # the stream benchmark size: the frame operator's batched block products
             ({"system": "homodyne",
               "params": {"d": 32, "R": 6.0, "n_r": 48, "n_phi": 64},
               "state": {"kind": "coherent", "d": 32, "beta_re": 0.6, "beta_im": -0.3},

@@ -360,20 +360,23 @@ class TestQFunction:
 
     def test_batched_matches_per_node_overlap(self):
         # analyze over the coherent-state system against <alpha|rho|alpha> one node
-        # at a time, at every node of the README grid, out to its rim
+        # at a time, at every node of the README grid, out to its rim, each node at
+        # its exact angle 2 pi p / n_phi; qfunction evaluates at the float alpha it is given
         d = 16
         rng = np.random.default_rng(3)
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = m @ m.conj().T
         states = [fock_state(d, 0), fock_state(d, d - 1), coherent_density(d, 3.0),
                   DensityMatrix(Operator(m / np.trace(m).real))]
-        sys = coherent_system(FockSpace(d), PolarGrid(5.0, 24, 32))
-        r, ph = sys.grid.nodes.T
-        alphas = r * np.exp(1j * ph)
+        grid = PolarGrid(5.0, 24, 32)
+        sys = coherent_system(FockSpace(d), grid)
+        r, ph = sys.grid.nodes[-1]
+        v = coherent_state(FockSpace(d), r * np.exp(1j * ph))
         for rho in states:
-            want = loop_reference.qfunction_nodes(rho, alphas)
+            want = loop_reference.qfunction_nodes(rho, grid.radial[0], grid.n_phi)
             assert np.abs(analyze(sys, rho.op).values - want).max() <= 1e-15
-            assert abs(qfunction(rho, alphas[-1]) - np.clip(want[-1], 0, 1)) <= 1e-15
+            rim = np.vdot(v, rho.op.entries @ v).real
+            assert abs(qfunction(rho, r * np.exp(1j * ph)) - np.clip(rim, 0, 1)) <= 1e-15
 
     def test_coherent_states_rows_and_large_beta(self):
         betas = [0.0, 0.3 + 0.1j, 40.0, 1e6j]

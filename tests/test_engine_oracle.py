@@ -11,7 +11,9 @@ frame operator behind ``roundtrip``, ``admissibility_constant`` and
 ``frame_bounds`` against the sample path and the dense masked Gram kept
 there, together with the way its charge classes are keyed and packed into
 blocks. Its blocks are checked against the per-class ``einsum`` build kept
-there, and its batched block product against the ``einsum`` product.
+there, and its batched block product against the ``einsum`` product. The
+sample path and ``roundtrip`` read one model of the phase circle, so
+``synthesize(analyze(o))`` equals ``roundtrip(o)`` to rounding.
 """
 
 import dataclasses
@@ -221,6 +223,30 @@ def test_roundtrip_matches_reference(name):
     rec, err = roundtrip(sys, o)
     assert np.linalg.norm(rec.entries - want) <= TOL * np.sum(sys.grid.weights * np.abs(s) * g)
     assert err == np.linalg.norm(rec.entries - o.entries)
+
+
+# the sample path and the frame operator sum one circle: both read c_a - c_b mod n_phi
+ONE_CIRCLE_CASES = {
+    "homodyne-16": (2e-15, lambda: homodyne_system(FockSpace(16), PolarGrid(5.0, 24, 32))),
+    "homodyne-32": (2e-15, lambda: homodyne_system(FockSpace(32), PolarGrid(6.0, 48, 64))),
+    "homodyne-48": (2e-15, lambda: homodyne_system(FockSpace(48), PolarGrid(7.0, 96, 96))),
+    # 31 charge differences in 12 classes
+    "homodyne-16-aliased": (2e-15, lambda: homodyne_system(FockSpace(16), PolarGrid(5.0, 24, 12))),
+    "su11-16": (2e-15, lambda: su11_system(DiscreteSeriesRep(1.0, 16), SUGrid(6.0, 80, 8))),
+    # the dual pair cancels terms far larger than the result
+    "spin-10": (5e-14, lambda: _spin(10)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CIRCLE_CASES))
+def test_sample_path_matches_roundtrip(name):
+    tol, build = ONE_CIRCLE_CASES[name]
+    sys, rng = build(), np.random.default_rng(11)
+    for _ in range(3):
+        o = _random_operator(rng, sys.dim)
+        want = roundtrip(sys, o)[0].entries
+        got = synthesize(sys, analyze(sys, o)).entries
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name", ["homodyne-stream", "dps-20", "spin-10", "su11-8"])

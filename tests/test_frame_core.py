@@ -264,7 +264,7 @@ class TestLayout:
         assert layout_calls == [sys]
 
     def test_dual_pair_builds_one_layout(self, layout_calls):
-        # the synthesis family resums through the analysis family's grouping and phases
+        # the synthesis family resums through the analysis family's class layout
         p = SpinParams(4)
         sys = moyal_system(p, sphere_grid(p))
         rho = random_state(np.random.default_rng(10), sys.dim)
@@ -435,6 +435,15 @@ class TestCoorbitNorm:
         grid = IndexGrid(((0.0,),), np.array([1.0]))
         with pytest.raises(ValueError):
             coorbit_norm(SampleVector(np.array([1.0 + 0j]), grid.grid_id), grid, 0.5)
+
+    def test_rejects_samples_of_another_grid_of_the_same_size(self):
+        # R 3 samples normed with the R 5 weights read 1.63 instead of 0.98, with no error
+        f = FockSpace(4)
+        s = analyze(homodyne_system(f, PolarGrid(3.0, 8, 12)), Operator(np.eye(4) / 2))
+        grid = homodyne_system(f, PolarGrid(5.0, 8, 12)).grid
+        assert len(s.values) == len(grid)
+        with pytest.raises(ValueError, match="not aligned with the grid"):
+            coorbit_norm(s, grid, 2)
 
     def test_rejects_nan_exponent(self):
         # a NaN exponent fails every comparison; on a unit sample it read 1.0

@@ -7,6 +7,7 @@ import pytest
 
 import loop_reference
 from coorbit import cli, su11_tomo
+from coorbit.frame_core import roundtrip
 from coorbit.opalg import DensityMatrix, Operator
 from coorbit.su11_tomo import (
     INTERIOR_MARGIN,
@@ -15,7 +16,6 @@ from coorbit.su11_tomo import (
     biorthogonality_ladder,
     generators,
     group_element,
-    reconstruct_su11,
     su11_system,
     thermal_admissibility,
     thermal_probe,
@@ -300,10 +300,9 @@ class TestSystem:
         mix = DensityMatrix(
             Operator(0.5 * a.op.entries + 0.5 * b.op.entries)
         )
-        rec = reconstruct_su11(mix, rep, grid).entries
-        rec_sum = 0.5 * (
-            reconstruct_su11(a, rep, grid).entries + reconstruct_su11(b, rep, grid).entries
-        )
+        sys = su11_system(rep, grid)
+        rec = roundtrip(sys, mix.op)[0].entries
+        rec_sum = 0.5 * (roundtrip(sys, a.op)[0].entries + roundtrip(sys, b.op)[0].entries)
         assert np.abs(rec - rec_sum).max() < 1e-10
 
     def test_roundtrip_matches_sample_path_aliased(self):
@@ -314,7 +313,7 @@ class TestSystem:
         sys = su11_system(rep, grid)
         rho = DensityMatrix(Operator(np.diag(np.linspace(1.0, 0.1, 10) / 5.5)))
         want = loop_reference.roundtrip(sys, rho.op)
-        rec = reconstruct_su11(rho, rep, grid).entries
+        rec = roundtrip(sys, rho.op)[0].entries
         assert np.linalg.norm(rec - want) <= 1e-13 * np.linalg.norm(want)
         for indices in ((0, 0, 0, 0), (0, 1, 0, 0), (2, 1, 2, 3), (1, 3, 3, 1)):
             m, n, l, q = indices
@@ -334,8 +333,9 @@ class TestSystem:
         m = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
         rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
         u = np.exp(0.7j * np.arange(cutoff))
-        rec = reconstruct_su11(DensityMatrix(Operator(rho)), rep, grid).entries
-        moved = reconstruct_su11(DensityMatrix(Operator(u[:, None] * rho * u.conj())), rep, grid)
+        sys = su11_system(rep, grid)
+        rec = roundtrip(sys, Operator(rho))[0].entries
+        moved = roundtrip(sys, Operator(u[:, None] * rho * u.conj()))[0]
         assert np.linalg.norm(moved.entries - u[:, None] * rec * u.conj()) <= (
             1e-13 * np.linalg.norm(rec))
 
@@ -344,7 +344,7 @@ class TestSystem:
         rep = DiscreteSeriesRep(1.0, 8)
         grid = SUGrid(3.0, 20, 8)
         rho = DensityMatrix(Operator(np.diag([0.5, 0.3, 0.2] + [0.0] * 5)))
-        rec = reconstruct_su11(rho, rep, grid).entries
+        rec = roundtrip(su11_system(rep, grid), rho.op)[0].entries
         kp, km, kz = (g.entries.astype(complex) for g in generators(rep))
         basis = np.stack([kz.ravel(), kp.ravel(), km.ravel()], axis=1)
         coeffs, *_ = np.linalg.lstsq(basis, rec.ravel(), rcond=None)
