@@ -179,7 +179,7 @@ def _make_state(kind: str, s: dict) -> DensityMatrix:
         if s["nbar"] <= 0:
             raise ConfigError("thermal occupation must be positive")
         b = s["nbar"] / (1 + s["nbar"])
-        diag = (1 - b) * b ** np.arange(s["d"])
+        diag = b ** np.arange(s["d"])  # the factor 1 - b cancels, and is 0 once b rounds to 1
         return DensityMatrix(Operator(np.diag(diag / diag.sum())))
     if kind == "spin_coherent":
         p = spin_moyal.SpinParams(s["two_s"])
@@ -290,12 +290,14 @@ def _tomo_report(doc: dict, params: dict) -> dict:
         report["fidelity"] = max(ladder["fidelity"])
         report["hs_error"] = None
     elif name == "su11":
+        if params["cutoff"] < 6:
+            raise ConfigError(f"params.cutoff must be at least 6, got {params['cutoff']}")
         rep = su11_tomo.DiscreteSeriesRep(params["k"], params["cutoff"])
         theta_maxes, n_theta = params["theta_max_ladder"], params["n_theta"]
         report["ladder"] = su11_tomo.biorthogonality_ladder(
             rep, theta_maxes, n_theta=n_theta, n_phi=params["n_phi"]
         )
-        grid = su11_tomo.SUGrid(max(theta_maxes), n_theta, 8)
+        grid = su11_tomo.SUGrid(max(theta_maxes), n_theta, params["n_phi"])
         c = su11_tomo.thermal_admissibility(rep, params["thermal_b"], grid)
         report["thermal_admissibility"] = [c.real, c.imag]
         report["fidelity"] = None
@@ -369,7 +371,7 @@ def _emit_columns(doc: dict, kind: str, params: dict):
         return "X,mu,nu,w", (x_nodes, np.full(len(w), mu), np.full(len(w), nu), w)
     p, grid = _spin_grid(params)  # symbols
     rho = _state(doc, p.dim, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
-    sys_obj = spin_moyal.moyal_system(p, grid, allow_underresolved=True)
+    sys_obj = spin_moyal.moyal_system(p, grid)
     values = analyze(sys_obj, rho.op).values
     columns = (*sys_obj.grid.nodes.T, sys_obj.grid.weights, values.real, values.imag)
     return "theta,phi,weight,symbol_re,symbol_im", columns

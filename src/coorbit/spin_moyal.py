@@ -6,11 +6,11 @@ diagonal in the rotated basis, with the signed binomial coefficients
 (-1)^(s-m) C(2s+1, s-m+1) of :func:`dual_coefficients`.
 Pairing a state against the dual kernel gives its spherical symbol, and the
 weighted sum of symbols against the direct kernel reconstructs the state
-exactly on a product Gauss-Legendre x uniform grid (the integrand is
-band-limited to spherical-harmonic degree 4s, so (2s+1) x (4s+2) nodes give
-machine-precision quadrature). Rotations come from one numpy eigh of Jy,
-whose eigenvalues are exactly m: exp(-i theta Jy) = V diag(e^{-i theta m})
-V^dag.
+exactly on a product Gauss-Legendre x uniform grid: the integrand has degree
+4s in cos(theta) and azimuthal frequencies up to 4s, so (2s+1) x (4s+1) nodes
+are the smallest exact grid; on a coarser one the frame bound A reads 0 up to
+rounding. Rotations come from one numpy eigh of Jy, whose eigenvalues are
+exactly m: exp(-i theta Jy) = V diag(e^{-i theta m}) V^dag.
 """
 
 from __future__ import annotations
@@ -151,19 +151,8 @@ def tracial_overlap(p: SpinParams, theta: float) -> float:
     return float(np.polynomial.legendre.legval(math.cos(theta), coefficients))
 
 
-def moyal_system(
-    p: SpinParams, grid: SphereGrid, allow_underresolved: bool = False
-) -> TomographicSystem:
-    """Spin system: analysis = dual kernels, synthesis = coherent projectors."""
-    need_theta = p.two_s + 1
-    need_phi = 2 * p.two_s + 2
-    if not allow_underresolved and (
-        len(grid.theta_nodes) < need_theta or grid.n_phi < need_phi
-    ):
-        raise ValueError(
-            f"grid is under-resolved for 2s={p.two_s}: need at least "
-            f"{need_theta} theta nodes and {need_phi} phi nodes"
-        )
+def moyal_system(p: SpinParams, grid: SphereGrid) -> TomographicSystem:
+    """Spin system on any grid: analysis = dual kernels, synthesis = coherent projectors."""
     # Rotating about z by phi conjugates both kernels by diag(e^{-i phi m}).
     charges = np.arange(p.dim) - p.s  # -m in the m = s..-s ordering
     # both kernels at phi = 0, one eigh for all theta; the last, at theta = 0,

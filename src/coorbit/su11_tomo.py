@@ -132,7 +132,7 @@ def su11_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     return _slice_system(rep, grid)
 
 
-# one system: with n_phi 8, a tomo-run's thermal grid is the last grid of an ascending ladder
+# one system: a tomo-run's thermal grid is the last grid of an ascending ladder
 @lru_cache(maxsize=1)
 def _slice_system(rep: DiscreteSeriesRep, grid: SUGrid) -> TomographicSystem:
     index_grid = grid.to_index_grid()

@@ -100,7 +100,7 @@ def marginal(rho: DensityMatrix, mu: float, nu: float, X_nodes: np.ndarray) -> n
         raise ValueError(f"(mu, nu) = ({mu}, {nu}) must be finite")
     s = math.hypot(mu, nu)
     if s < 1e-14:
-        raise ValueError("(mu, nu) = (0, 0) is a degenerate direction")
+        raise ValueError(f"(mu, nu) = ({mu}, {nu}) is a degenerate direction: |(mu, nu)| < 1e-14")
     phases = np.exp(-1j * math.atan2(nu, mu) * np.arange(1 - rho.dim, rho.dim))
     return (phases @ _diagonal_sums(rho, np.asarray(X_nodes, dtype=float) / s)).real / s
 

@@ -551,7 +551,7 @@ def emit_rows(doc, kind):
         return [f"{_fmt(x)},{_fmt(mu)},{_fmt(nu)},{_fmt(wi)}" for x, wi in zip(x_nodes, w)]
     p, grid = cli._spin_grid(params)
     rho = cli._state(doc, p.dim, kind="spin_coherent", two_s=p.two_s, theta=0.0, phi=0.0)
-    samples = frame_core.analyze(spin_moyal.moyal_system(p, grid, allow_underresolved=True), rho.op)
+    samples = frame_core.analyze(spin_moyal.moyal_system(p, grid), rho.op)
     ig = grid.to_index_grid(p)
     return [f"{_fmt(th)},{_fmt(ph)},{_fmt(wt)},{_fmt(val.real)},{_fmt(val.imag)}"
             for (th, ph), wt, val in zip(ig.nodes, ig.weights, samples.values)]

@@ -88,6 +88,11 @@ class TestStateMake:
         diag = np.diag(rho.op.entries).real
         assert np.sum(diag * np.arange(64)) == pytest.approx(1.5, abs=1e-6)
 
+    def test_thermal_limit_of_large_occupation(self):
+        # at nbar 1e16, b = nbar / (1 + nbar) rounds to 1: the maximally mixed state
+        rho = build_state({"kind": "thermal", "d": 4, "nbar": 1e16})
+        assert np.array_equal(rho.op.entries, np.eye(4) / 4)
+
     def test_fock_level_out_of_range(self, tmp_path, capsys):
         path = write_config(
             tmp_path, {"system": "dps", "params": {"N": 2},
@@ -440,6 +445,12 @@ MALFORMED = [
                         "params": {"d": 4, "R": 1e308, "n_r": 4, "n_phi": 4}}, "params.R"),
     # an empty marginal is a config error, as a zero count of any other nodes is
     ("emit", "marginal", {"system": "symplectic", "params": {"d": 4, "n_X": 0}}, "params.n_X"),
+    # a range is checked where the value enters, and the message names the value given
+    *[("tomo-run", None, {"system": "su11",
+                          "params": {"k": 1.0, "cutoff": c, "theta_max_ladder": [2.0]}},
+       f"params.cutoff must be at least 6, got {c}") for c in range(6)],
+    ("emit", "marginal", {"system": "symplectic", "params": {"d": 4, "mu": 1e-300}},
+     "(mu, nu) = (1e-300, 0.0)"),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import loop_reference
+from coorbit import cli
 from coorbit.frame_core import analyze, frame_bounds, roundtrip
 from coorbit.opalg import DensityMatrix, Operator, hs_inner
 from coorbit.spin_moyal import (
@@ -194,15 +196,32 @@ class TestSphereGrid:
             grid = sphere_grid(p).to_index_grid(p)
             assert np.sum(grid.weights) == pytest.approx(two_s + 1, abs=1e-12)
 
-    def test_under_resolved_rejected(self):
-        p = SpinParams(4)
-        with pytest.raises(ValueError, match="under-resolved"):
-            moyal_system(p, sphere_grid(SpinParams(1)))
+    def test_smallest_exact_grid(self):
+        # (2s+1) x (4s+1) nodes resolve the family: an exact round trip and A = B = 1
+        rng = np.random.default_rng(0)
+        for two_s in (2, 4, 6, 10):
+            p = SpinParams(two_s)
+            sys = moyal_system(p, sphere_grid(p, two_s + 1, 2 * two_s + 1))
+            _, err = roundtrip(sys, random_state(rng, p.dim))
+            report = frame_bounds(sys)
+            assert err <= 1e-13, two_s
+            assert abs(report.A - 1) <= 1e-12 and abs(report.B - 1) <= 1e-12, two_s
 
-    def test_under_resolved_override(self):
-        p = SpinParams(4)
-        sys = moyal_system(p, sphere_grid(SpinParams(1)), allow_underresolved=True)
-        assert sys.dim == 5
+    def test_coarse_grid_reported(self, tmp_path, capsys):
+        # one theta node or one angle fewer: tomo-run reports A = 0 and the
+        # hs_error tolerance turns the inexact round trip into exit 2
+        for grid in ({"n_theta": 4}, {"n_phi": 8}):
+            doc = {"system": "spin", "params": {"two_s": 4, **grid}}
+            config, out = tmp_path / "spin.json", tmp_path / "report.json"
+            config.write_text(json.dumps(doc))
+            assert cli.main(["tomo-run", "--config", str(config), "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["frame_A"] < 1e-7 and report["hs_error"] > 1e-2, grid  # A: 0 to rounding
+            config.write_text(json.dumps({**doc, "tolerances": {"hs_error": 1e-8}}))
+            capsys.readouterr()
+            assert cli.main(["tomo-run", "--config", str(config), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "enlarge the grid or cutoff" in err[0], err
 
 
 class TestMoyalSystem:
@@ -259,7 +278,7 @@ class TestMoyalSystem:
 
 def spin_symbols(p, rho, grid):
     """Spherical symbols Tr(rho Delta^n): the analysis samples, as ``emit symbols`` takes them."""
-    return analyze(moyal_system(p, grid, allow_underresolved=True), rho.op)
+    return analyze(moyal_system(p, grid), rho.op)
 
 
 class TestSpinSymbols:

@@ -363,16 +363,28 @@ class TestThermal:
             thermal_probe(DiscreteSeriesRep(1.0, 4), 0.0)
 
     def test_tomo_run_builds_one_system(self, tmp_path, monkeypatch):
-        # with n_phi 8 the thermal grid is the one-theta ladder's grid: one build serves both
-        config = tmp_path / "su11.json"
-        config.write_text(json.dumps({"system": "su11", "params": {
-            "k": 1.0, "cutoff": 10, "theta_max_ladder": [6.0], "n_theta": 40, "n_phi": 8}}))
-        calls = []
-        build = su11_tomo._slices
-        monkeypatch.setattr(su11_tomo, "_slices", lambda *a: calls.append(a) or build(*a))
-        su11_tomo._slice_system.cache_clear()
-        assert cli.main(["tomo-run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == 1
+        # one system per grid: the thermal grid is the last grid of an ascending ladder
+        for n_phi in (8, 16):
+            config = tmp_path / "su11.json"
+            config.write_text(json.dumps({"system": "su11", "params": {
+                "k": 1.0, "cutoff": 10, "theta_max_ladder": [2.0, 4.0, 6.0], "n_theta": 40,
+                "n_phi": n_phi}}))
+            calls = []
+            build = su11_tomo._slices
+            monkeypatch.setattr(su11_tomo, "_slices", lambda *a: calls.append(a) or build(*a))
+            su11_tomo._slice_system.cache_clear()
+            out = str(tmp_path / "o")
+            assert cli.main(["tomo-run", "--config", str(config), "--out", out]) == 0
+            monkeypatch.undo()
+            assert len(calls) == 3, n_phi
+
+    def test_admissibility_independent_of_n_phi(self):
+        # p0 and L0 are diagonal, so only the charge class 0 enters: any n_phi gives the value
+        rep = DiscreteSeriesRep(1.0, 10)
+        values = [thermal_admissibility(rep, 0.5, SUGrid(6.0, 40, n)) for n in (4, 8, 16)]
+        assert values[0].real > 1
+        for val in values[1:]:
+            assert abs(val - values[0]) <= 1e-14 * abs(values[0])
 
     def test_admissibility_half(self):
         rep = DiscreteSeriesRep(1.0, 32)
